@@ -14,10 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from dhtlab.kernels import E, HILBERT, J, e_tail_constant, j_kernel
-from dhtlab.seqops import Seq, convolve
+from dhtlab.seqops import Seq, convolve, fft_convolve
 
 __all__ = [
     "FactorizationKit",
@@ -111,7 +110,7 @@ def build_K(window: int, mass_tol: float = 1e-8) -> FactorizationKit:
     k_arr += alpha * term
     kept = alpha * 1.0
     for _ in range(1, n_terms):
-        full = fftconvolve(term, g)
+        full = fft_convolve(term, g)
         term = full[window: 3 * window + 1].copy()
         # tiny negative entries can appear from FFT rounding; clamp and ledger
         neg = term < 0
@@ -152,7 +151,7 @@ def verify_factorization(a: Seq, window: int, mass_tol: float = 1e-8,
 
     ha = convolve(HILBERT, at, quarter)
     ja = convolve(J, at, window + quarter)
-    full = fftconvolve(kit.K, ja.values)
+    full = fft_convolve(kit.K, ja.values)
     # full index t corresponds to n = t - (2*window + quarter)
     centre = 2 * window + quarter
     kja = full[centre - quarter: centre + quarter + 1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dhtlab.kernels import E, F, e_tail_constant, f_kernel, j_kernel
-from dhtlab.numerics import QuadResult, coth, csch, csch_sq, integrate
+from dhtlab.numerics import QuadResult, coth, csch, csch_sq, gk15_panels, integrate
 
 __all__ = [
     "PlanePoint",
@@ -468,13 +468,9 @@ def verify_hp(n: int, y: float, M: int) -> IdentityReport:
 
 def _inner_sinh_family(y: float, ks: np.ndarray) -> np.ndarray:
     """C_k(y) = integral_0^y t sinh t / (t^2 + pi^2 k^2) dt for each k (vectorized)."""
-    from dhtlab.kernels import _K15_NODES, _K15_W  # same fixed rule
     n_panels = max(2, int(math.ceil(y / 0.25)))
     edges = np.linspace(0.0, y, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    t = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
-    w = (half[:, None] * _K15_W[None, :]).ravel()
+    t, w, _ = gk15_panels(edges[:-1], edges[1:])
     wts = w * t * np.sinh(t)
     a2 = (_PI * ks.astype(float)) ** 2
     return (wts[None, :] / (t[None, :] ** 2 + a2[:, None])).sum(axis=1)

@@ -24,12 +24,14 @@ __all__ = [
     "csch_sq",
     "csch_cu",
     "coth",
+    "gk15_panels",
 ]
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule, nodes ascending on
 # [-1, 1].  The rule is open: panel endpoints are never evaluated, so
-# integrable endpoint singularities are safe.
+# integrable endpoint singularities are safe.  The one copy of the tables in
+# the package; fixed-grid rules elsewhere get them through gk15_panels.
 _NODES = np.array([
     -0.991455371120812639206854697526329,
     -0.949107912342758524526189684047851,
@@ -139,6 +141,26 @@ def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     k15 = (fx * _WK15).sum(axis=1) * half
     g7 = (fx[:, 1::2] * _WG7).sum(axis=1) * half
     return k15, np.abs(k15 - g7)
+
+
+def gk15_panels(lo, hi):
+    """Nodes and weights of the Gauss-Kronrod pair on the panels [lo_i, hi_i].
+
+    Returns flat arrays (x, wk, wg) of length 15 * len(lo), panel after panel:
+    the K15 nodes, the K15 weights, and the G7 weights on the Gauss nodes with
+    zeros on the others.  Fixed-grid quadratures sum f(x) * wk and compare the
+    per-panel sums with those of wg for an error estimate.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    g7 = np.zeros(15)
+    g7[1::2] = _WG7
+    x = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    wk = (half[:, None] * _WK15[None, :]).ravel()
+    wg = (half[:, None] * g7[None, :]).ravel()
+    return x, wk, wg
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10, *,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from dhtlab.kernels import Kernel
 from dhtlab.numerics import Exponent
@@ -24,6 +24,7 @@ __all__ = [
     "ConvOperator",
     "lp_norm",
     "convolve",
+    "fft_convolve",
     "adjoint_kernel",
     "scale_kernel",
     "seq_to_csv",
@@ -122,6 +123,17 @@ def lp_norm(a: Seq, p) -> float:
     return float((v ** p).sum() ** (1.0 / p))
 
 
+def fft_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays through real FFTs.
+
+    The same transform sizes and steps as ``scipy.signal.fftconvolve`` (so the
+    same bits), without importing ``scipy.signal``.
+    """
+    n = len(a) + len(k) - 1
+    size = next_fast_len(n, True)
+    return irfft(rfft(a, size) * rfft(k, size), size)[:n]
+
+
 def _convolve_dense_direct(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Full convolution, summing over the entries of ``a`` in ascending index
     order (fixed order => bit-reproducible)."""
@@ -137,7 +149,7 @@ def _convolve_dense(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     if min(len(a), len(k)) == 0:
         return np.zeros(max(len(a) + len(k) - 1, 0))
     if len(a) > _FFT_THRESHOLD:
-        return fftconvolve(a, k)
+        return fft_convolve(a, k)
     return _convolve_dense_direct(a, k)
 
 

@@ -141,3 +141,105 @@ def test_sinh_minus_shi_series_matches_direct():
     exact = math.sinh(0.5) - integrate(
         lambda t: np.sinh(t) / t, 1e-300, 0.5, 1e-13).value
     assert sinh_minus_shi(y)[0] == pytest.approx(exact, rel=1e-9)
+
+
+# -- table and moment series ----------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _bar(kernel, n):
+    """The reported error bar of kernel entry n (any sign)."""
+    r = max(abs(n), 1)
+    return float(kernel.error_window(r)[n + r])
+
+
+def _mp_f_integral(mp, n):
+    a2 = (mp.pi * n) ** 2
+    return mp.quad(lambda y: 2 * y ** 3 / ((y * y + a2) * mp.sinh(y) ** 2),
+                   [0, 1, 5, 20, 60, mp.inf])
+
+
+def _mp_e(mp, n):
+    # int_0^y t sinh t / (t^2 + a^2) dt = (-1)^n Re Shi(y - i a) for a = pi n
+    a = mp.pi * n
+    inner = lambda y: (-1) ** n * mp.re(mp.shi(y - 1j * a))
+    return -mp.quad(lambda y: 2 * y / mp.sinh(y) ** 3 * inner(y),
+                    [0, 1, 5, 20, 60, mp.inf])
+
+
+@pytest.mark.parametrize("n", [1, 7, K._N0 - 1, K._N0, 1000, 10 ** 5])
+def test_j_f_within_bar_of_mpmath_oracle(n):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        integral = _mp_f_integral(mp, n)
+        for kernel, true in ((K.J, (1 + integral) / (mp.pi * n)),
+                             (K.F, integral / (mp.pi * n))):
+            for m, sign in ((n, 1), (-n, -1)):
+                err = abs(mp.mpf(kernel.value(m)) - sign * true)
+                assert err <= _bar(kernel, m), (kernel.name, m)
+
+
+def test_whole_f_table_within_bar_of_mpmath_oracle():
+    # a BLAS dot product once rounded the table entry at n = 30 by 8 eps
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        for n in range(1, K._N0):
+            true = _mp_f_integral(mp, n) / (mp.pi * n)
+            assert abs(mp.mpf(K.f_kernel(n)) - true) <= _bar(K.F, n), n
+
+
+@pytest.mark.parametrize("n", [1, 50, 300])
+def test_e_within_bar_of_mpmath_oracle(n):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        true = _mp_e(mp, n)
+        assert abs(mp.mpf(K.e_kernel(n)) - true) <= _bar(K.E, n)
+
+
+def test_grid_and_series_agree_on_overlap():
+    n0 = K._N0
+    ns = np.arange(n0, 4 * n0 + 1)
+    grid = K._ExpGrid()
+    integral, ierr = grid.j_integral(ns)
+    f_grid = integral / (math.pi * ns)
+    f_bar = ierr / (math.pi * ns) + 4 * EPS * np.abs(f_grid)
+    e_grid, e_bar = grid.e_values(ns)
+    e_bar = e_bar + 4 * EPS * np.abs(e_grid)
+    for kernel, v, bar in ((K.F, f_grid, f_bar), (K.E, e_grid, e_bar)):
+        series = kernel.window_range(n0, 4 * n0)
+        series_bar = kernel.error_window(4 * n0)[4 * n0 + n0:]
+        assert np.all(np.abs(series - v) <= series_bar + bar), kernel.name
+
+
+def test_series_moments():
+    big_m, big_m_err = K._EVALUATORS.e_moments
+    m, m_err = K._EVALUATORS.f_moments
+    # M_0 = 1: its integrand is -d/dy [y^2 / sinh^2 y]
+    assert abs(big_m[0] - 1.0) <= big_m_err[0] + 4 * EPS
+    assert K.e_tail_constant() == 1.0 / math.pi ** 2
+    # closed-form J/F moments against the grid
+    g = K._ExpGrid()
+    for k in range(K._K + 1):
+        v, err = g._outer_sums((g.env_j * g.y ** (2 * k))[None, :])
+        assert abs(v[0] - m[k]) <= err[0] + m_err[k] + 4 * EPS * m[k]
+    # at n0 the series remainder is below one rounding of the entry
+    a2 = (math.pi * K._N0) ** 2
+    assert m[K._K] / a2 ** (K._K + 1) <= EPS * abs(K.f_kernel(K._N0)) * math.pi * K._N0
+    assert big_m[K._K] / a2 ** (K._K + 1) <= EPS * abs(K.e_kernel(K._N0))
+
+
+@pytest.mark.parametrize("kernel,radius", [(K.F, 31), (K.E, 881), (K.F, 5873)])
+def test_parity_is_exact(kernel, radius):
+    sign = 1.0 if kernel.parity == "even" else -1.0
+    w = kernel.window(radius)
+    errs = kernel.error_window(radius)
+    assert np.array_equal(w[radius + 1:], sign * w[radius - 1::-1])
+    assert np.array_equal(errs[radius + 1:], errs[radius - 1::-1])
+
+
+def test_entries_do_not_depend_on_the_window():
+    w1 = K.J.window(1)
+    w = K.J.window(5000)
+    assert w[5000 + 1] == w1[2] and w[5000 - 1] == w1[0]
+    assert K.E.window(5000)[5000 + 40] == K.E.window_range(40, 40)[0]

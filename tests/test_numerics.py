@@ -149,3 +149,13 @@ def test_stable_hyperbolics():
     assert np.allclose(csch_sq(y[:2]), 1.0 / np.sinh(y[:2]) ** 2, rtol=1e-14)
     assert np.all(np.isfinite(csch_sq(y)))
     assert coth(np.array([700.0]))[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_gk15_panels_integrate_polynomials_exactly():
+    from dhtlab.numerics import gk15_panels
+    x, wk, wg = gk15_panels([0.0, 0.5], [0.5, 2.0])
+    # K15 is exact to degree 22 and G7 to degree 13 on each panel
+    for deg, w in ((22, wk), (13, wg)):
+        assert float(np.sum(w * x ** deg)) == pytest.approx(2.0 ** (deg + 1) / (deg + 1),
+                                                             rel=1e-14)
+    assert np.all(wg.reshape(2, 15)[:, 0::2] == 0.0)

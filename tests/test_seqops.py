@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import strategies as st
 from dhtlab import kernels as K
 from dhtlab.numerics import Exponent
 from dhtlab.seqops import (ConvOperator, Seq, adjoint_kernel, convolve,
-                           lp_norm, scale_kernel, seq_from_csv, seq_from_json,
-                           seq_to_csv, seq_to_json, _convolve_dense_direct)
+                           fft_convolve, lp_norm, scale_kernel, seq_from_csv,
+                           seq_from_json, seq_to_csv, seq_to_json,
+                           _convolve_dense_direct)
 
 # frozen direct-summation value: sqrt(2 sum_{n=1..64} (pi n)^-2)
 H_WINDOW64_L2 = 0.5746230539504595
@@ -156,3 +160,25 @@ def test_seq_io_roundtrip():
     assert np.array_equal(b.values, a.trimmed().values)
     c = seq_from_json(seq_to_json(a))
     assert c.offset == a.offset and np.array_equal(c.values, a.values)
+
+
+@pytest.mark.parametrize("na,nk", [(1, 1), (2, 7), (513, 1025), (1000, 1000),
+                                   (4097, 16385), (600, 33000)])
+def test_fft_convolve_matches_scipy_signal_bitwise(na, nk):
+    from scipy.signal import fftconvolve
+    rng = np.random.default_rng(na + nk)
+    a, k = rng.standard_normal(na), rng.standard_normal(nk)
+    assert np.array_equal(fft_convolve(a, k), fftconvolve(a, k))
+
+
+def test_package_does_not_import_scipy_signal():
+    code = ("import sys, pkgutil, importlib, dhtlab\n"
+            "for m in pkgutil.iter_modules(dhtlab.__path__):\n"
+            "    importlib.import_module('dhtlab.' + m.name)\n"
+            "print('scipy.signal' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
