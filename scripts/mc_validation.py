@@ -24,7 +24,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=11)
     args = ap.parse_args(argv)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.heavy:
         cfg = SdeConfig(n=1, start=(0.0, 50.0), seed=args.seed, max_time=2e5)
         target = j_kernel(1)
@@ -42,9 +42,9 @@ def main(argv=None) -> int:
     print(f"functional: {stats.mean:.6f} +- {stats.std_error:.6f}  "
           f"target [{label}] {target:.6f}  z = {z:+.2f}  "
           f"absorbed {stats.killed_fraction:.3f}  "
-          f"({time.time() - t0:.0f}s)")
+          f"({time.perf_counter() - t0:.0f}s)")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     grid = OccupationGrid(x_min=2 * math.pi - math.pi, x_max=2 * math.pi + math.pi,
                           y_min=0.5, y_max=4.5, nx=5, ny=5)
     occ_cfg = SdeConfig(n=1, start=(2 * math.pi, 8.0), seed=args.seed,
@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     rep = occupation_check(occ_cfg, grid, min(paths, 40_000))
     print(f"occupation: frac|z|<=3 {rep.frac_within_3:.2f}  "
           f"chi2_z {rep.chi2_z:+.2f}  total_z {rep.total_z:+.2f}  "
-          f"({time.time() - t0:.0f}s)")
+          f"({time.perf_counter() - t0:.0f}s)")
     return 0
 
 

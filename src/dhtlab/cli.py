@@ -145,23 +145,28 @@ def _cmd_mc(args, parser) -> int:
         _fail_usage(parser, "requested run exceeds the light budget "
                             "(paths > 20000 or y0 > 20); pass --heavy")
     x0 = 2.0 * math.pi * args.n if args.x0 is None else args.x0
-    cfg = SdeConfig(n=args.n, start=(x0, args.y0), dt=args.dt,
-                    kill_eps=args.kill_eps, max_time=args.max_time,
-                    seed=args.seed)
     config = {"mode": args.mode, "n": args.n, "x0": x0, "y0": args.y0,
               "dt": args.dt, "kill_eps": args.kill_eps,
               "max_time": args.max_time, "paths": args.paths,
               "seed": args.seed}
+    try:  # bad configurations and path counts are rejected before any work
+        cfg = SdeConfig(n=args.n, start=(x0, args.y0), dt=args.dt,
+                        kill_eps=args.kill_eps, max_time=args.max_time,
+                        seed=args.seed)
+        if args.mode == "functional":
+            stats = estimate_T(Seq.delta(0), cfg, args.paths)
+        else:
+            span = max(2.0, args.y0 / 2.0)
+            grid = OccupationGrid(x_min=x0 - math.pi, x_max=x0 + math.pi,
+                                  y_min=0.5, y_max=0.5 + span, nx=5, ny=5)
+            rep = occupation_check(cfg, grid, args.paths)
+    except ValueError as ex:
+        _fail_usage(parser, str(ex))
     if args.mode == "functional":
-        stats = estimate_T(Seq.delta(0), cfg, args.paths)
         results = {"mean": stats.mean, "std_error": stats.std_error,
                    "paths": stats.paths,
                    "killed_fraction": stats.killed_fraction}
     else:
-        span = max(2.0, args.y0 / 2.0)
-        grid = OccupationGrid(x_min=x0 - math.pi, x_max=x0 + math.pi,
-                              y_min=0.5, y_max=0.5 + span, nx=5, ny=5)
-        rep = occupation_check(cfg, grid, args.paths)
         results = {
             "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
                      "y_min": grid.y_min, "y_max": grid.y_max,

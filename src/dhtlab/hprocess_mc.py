@@ -14,7 +14,10 @@ dt <= kill_eps^2/4 so the layer is resolved.
 
 Paths are simulated in fixed-size vectorized chunks with per-chunk derived
 random streams; identical (config, seed, paths) inputs give bit-identical
-results.  Statistical acceptance is always "within 3 standard errors".
+results.  Each step makes one shared pass for h and grad log h, which
+occupation runs skip since they read neither; all of it is elementwise, so a
+path's bits do not depend on which other paths are still live.  Statistical
+acceptance is always "within 3 standard errors".
 """
 
 from __future__ import annotations
@@ -73,8 +76,8 @@ class SdeConfig:
             raise ValueError("dt and kill_eps must be positive")
         if self.dt > self.kill_eps ** 2 / 4.0:
             raise ValueError("need dt <= kill_eps^2/4 to resolve the boundary layer")
-        if not self.start[1] > 0:
-            raise ValueError("start height must be positive")
+        if not (math.isfinite(self.start[0]) and 0 < self.start[1] < math.inf):
+            raise ValueError("start must be finite with a positive height")
         if not self.max_time > 0:
             raise ValueError("max_time must be positive")
 
@@ -136,57 +139,49 @@ def drift_field(cfg: SdeConfig, x, y):
     return -2.0 * xt / r2, 1.0 / y - 2.0 * y / r2
 
 
-def _grad_log_h(x, y):
-    """(d/dx, d/dy) of log h, stable for all heights."""
-    glx = np.empty_like(x)
-    gly = np.empty_like(x)
-    lo = y <= 1.0
-    if lo.any():
-        xl, yl = x[lo], y[lo]
-        denom = 2.0 * (np.sinh(yl / 2.0) ** 2 + np.sin(xl / 2.0) ** 2)
-        glx[lo] = -np.sin(xl) / denom
-        gly[lo] = np.cosh(yl) / np.sinh(yl) - np.sinh(yl) / denom
-    hi = ~lo
-    if hi.any():
-        xh, yh = x[hi], y[hi]
-        t = np.exp(-yh)
-        denom = 1.0 + t * t - 2.0 * t * np.cos(xh)
-        glx[hi] = -2.0 * t * np.sin(xh) / denom
-        gly[hi] = (1.0 + t * t) / (1.0 - t * t) - (1.0 - t * t) / denom
-    return glx, gly
+def _h_branch(x, y, low: bool):
+    """(h, d/dx log h, d/dy log h) on one side of the y = 1 switch: exact
+    hyperbolics below it, the exp(-y) form above it (no overflow)."""
+    if low:
+        s = np.sinh(y)
+        denom = 2.0 * (np.sinh(y / 2.0) ** 2 + np.sin(x / 2.0) ** 2)
+        return s / (_TWO_PI * denom), -np.sin(x) / denom, np.cosh(y) / s - s / denom
+    t = np.exp(-y)
+    tt = t * t
+    plus, minus = 1.0 + tt, 1.0 - tt
+    denom = plus - 2.0 * t * np.cos(x)
+    return (minus / (_TWO_PI * denom), -2.0 * t * np.sin(x) / denom,
+            plus / minus - minus / denom)
 
 
-def _h_value(x, y):
-    """h = sinh y / (2 pi (cosh y - cos x)) without overflow."""
-    out = np.empty_like(x)
+def _h_fields(x, y):
+    """h = sinh y / (2 pi (cosh y - cos x)) and grad log h, stable at all heights.
+
+    Every operation is elementwise, so a point's bits do not depend on the
+    other points of the batch or on which branch those take.
+    """
     lo = y <= 1.0
-    if lo.any():
-        xl, yl = x[lo], y[lo]
-        denom = 2.0 * (np.sinh(yl / 2.0) ** 2 + np.sin(xl / 2.0) ** 2)
-        out[lo] = np.sinh(yl) / (_TWO_PI * denom)
-    hi = ~lo
-    if hi.any():
-        xh, yh = x[hi], y[hi]
-        t = np.exp(-yh)
-        out[hi] = (1.0 - t * t) / (_TWO_PI * (1.0 + t * t - 2.0 * t * np.cos(xh)))
+    n_lo = np.count_nonzero(lo)
+    if n_lo == 0 or n_lo == len(y):
+        return _h_branch(x, y, n_lo > 0)
+    out = np.empty((3, len(y)))
+    for mask, low in ((lo, True), (~lo, False)):
+        out[:, mask] = _h_branch(x[mask], y[mask], low)
     return out
 
 
-def _functional_rows(x, y, glx, gly, dx, dy, ms):
-    """F_m = H grad(p_m / h) . d for every support site m; rows (len(ms), len(x))."""
-    h = _h_value(x, y)
-    rows = np.empty((len(ms), len(x)))
-    for i, m in enumerate(ms):
-        xm = x - _TWO_PI * m
-        r2 = xm * xm + y * y
-        pm = y / (math.pi * r2)
-        pmx = -2.0 * xm * y / (math.pi * r2 * r2)
-        pmy = (xm * xm - y * y) / (math.pi * r2 * r2)
-        um = pm / h
-        ux = pmx / h - um * glx
-        uy = pmy / h - um * gly
-        rows[i] = -uy * dx + ux * dy
-    return rows
+def _functional_rows(x, y, h, glx, gly, dx, dy, shifts):
+    """F_m = H grad(p_m / h) . d for every support site m, where ``shifts``
+    holds 2 pi m: one row per site, or a flat row for a single site."""
+    xm = x - shifts
+    xx, yy = xm * xm, y * y
+    r2 = xx + yy
+    pir2 = math.pi * r2
+    pr = pir2 * r2
+    um = y / pir2 / h                              # p_m / h
+    ux = -2.0 * xm * y / pr / h - um * glx
+    uy = (xx - yy) / pr / h - um * gly
+    return ux * dy - uy * dx
 
 
 def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
@@ -212,6 +207,9 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
     else:
         ms = np.zeros(0, dtype=int)
         n_support = 0
+    # one broadcast over all sites; a single site stays one-dimensional,
+    # which costs less per numpy call at the small widths most steps run at
+    shifts = _TWO_PI * ms if n_support == 1 else (_TWO_PI * ms)[:, None]
 
     target = _TWO_PI * cfg.n
     comp = np.zeros((n_support, n_paths))
@@ -237,7 +235,7 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
         base = done_groups * group
 
         m = g * group
-        idx = np.arange(m)                      # original in-chunk slot
+        idx = np.arange(base, base + m)         # global path index
         x = np.full(m, cfg.start[0])
         y = np.full(m, cfg.start[1])
         t = np.zeros(m)
@@ -245,20 +243,20 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
         dtk_prev = np.zeros(m)
 
         while len(x) > 0:
-            dtk = np.clip(cfg.step_scale * y * y, cfg.dt, cfg.dt_cap)
+            dtk = np.minimum(np.maximum(cfg.step_scale * y * y, cfg.dt), cfg.dt_cap)
             bx, by = drift_field(cfg, x, y)
-            glx, gly = _grad_log_h(x, y)
             if n_support:
+                h, glx, gly = _h_fields(x, y)
+                rows = _functional_rows(x, y, h, glx, gly, bx - glx, by - gly, shifts)
                 # trapezoidal time rule: each state's integrand carries half
                 # of the two adjacent step lengths, which centres the rule
                 # and removes the leading step-size error of the integral
-                rows = _functional_rows(x, y, glx, gly, bx - glx, by - gly, ms)
                 acc += rows * (0.5 * (dtk_prev + dtk))
             # bound the drift displacement by twice the noise scale: far from
             # the boundary pole this is the identity (no taming bias), near
             # the pole it keeps single steps finite like standard taming
-            mag = np.hypot(bx, by)
-            tame = dtk / np.maximum(1.0, mag * np.sqrt(dtk) / 2.0)
+            root = np.sqrt(dtk)
+            tame = dtk / np.maximum(1.0, np.hypot(bx, by) * root / 2.0)
             if antithetic:
                 half = len(x) // 2
                 xi = rng.standard_normal((half, 2))
@@ -267,45 +265,45 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
             else:
                 xi = rng.standard_normal((len(x), 2))
                 noise_x, noise_y = xi[:, 0], xi[:, 1]
-            root = np.sqrt(dtk)
             x_new = x + bx * tame + root * noise_x
             y_new = y + by * tame + root * noise_y
             if occ is not None:
                 # midpoint attribution of the step's time (left-point binning
-                # systematically shifts occupation opposite to the motion)
+                # systematically shifts occupation opposite to the motion);
+                # a path meets one cell per step, so the indices are unique
                 mx = 0.5 * (x + x_new)
                 my = 0.5 * (y + y_new)
                 ix = np.floor((mx - grid.x_min) / wx).astype(np.int64)
                 iy = np.floor((my - grid.y_min) / wy).astype(np.int64)
                 inside = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-                if inside.any():
-                    flat = iy[inside] * grid.nx + ix[inside]
-                    np.add.at(occ, (base + idx[inside], flat), dtk[inside])
+                if np.count_nonzero(inside):
+                    occ[idx[inside], iy[inside] * grid.nx + ix[inside]] += dtk[inside]
             x = x_new
             y = y_new
-            t = t + dtk
+            t += dtk
 
-            hit = y < cfg.kill_eps
-            near = np.abs(x - target) < cfg.match_radius
-            absorb_now = hit & near
-            reflect = (y <= 0.0) & ~absorb_now
-            if reflect.any():
-                y[reflect] = np.maximum(np.abs(y[reflect]), 1e-12)
-            timeout = t >= cfg.max_time
-            done = absorb_now | timeout
+            # only a path below kill_eps can be absorbed or need reflecting;
+            # count_nonzero is a cheaper truth test than .any() at small widths
+            absorb_now = y < cfg.kill_eps
+            if np.count_nonzero(absorb_now):
+                absorb_now &= np.abs(x - target) < cfg.match_radius
+                reflect = (y <= 0.0) & ~absorb_now
+                if np.count_nonzero(reflect):
+                    y[reflect] = np.maximum(np.abs(y[reflect]), 1e-12)
+            done = absorb_now | (t >= cfg.max_time)
             if antithetic:
                 # keep pairs in lockstep: a pair retires only when both are done
                 half = len(x) // 2
                 pair_done = done[:half] & done[half:]
                 done = np.concatenate([pair_done, pair_done])
-            if done.any():
+            if np.count_nonzero(done):
                 sel = idx[done]
-                absorbed[base + sel] = absorb_now[done]
-                lifetimes[base + sel] = t[done]
-                end_x[base + sel] = x[done]
-                end_y[base + sel] = y[done]
+                absorbed[sel] = absorb_now[done]
+                lifetimes[sel] = t[done]
+                end_x[sel] = x[done]
+                end_y[sel] = y[done]
                 if n_support:
-                    comp[:, base + sel] = acc[:, done]
+                    comp[:, sel] = acc[:, done]
                 keep = ~done
                 x, y, t, idx = x[keep], y[keep], t[keep], idx[keep]
                 dtk = dtk[keep]
@@ -391,6 +389,8 @@ def occupation_check(cfg: SdeConfig, grid: OccupationGrid,
     Per-cell z-scores use the path-to-path standard error; the chi-square
     style aggregate compares sum(z^2) with its cell-count expectation.
     """
+    if paths < 2:
+        raise ValueError("occupation_check needs paths >= 2 for a standard error")
     _, _, _, _, _, occ = _simulate(None, cfg, paths, grid=grid)
     obs = occ.mean(axis=0).reshape(grid.ny, grid.nx)
     se = (occ.std(axis=0, ddof=1) / math.sqrt(paths)).reshape(grid.ny, grid.nx)

@@ -128,6 +128,21 @@ def test_mc_heavy_gate(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--mode", "occupation", "--paths", "1"],     # no standard error
+    ["--mode", "occupation", "--paths", "0"],
+    ["--paths", "0"],
+    ["--dt", "1e-3"],                             # dt > kill_eps^2 / 4
+    ["--y0", "-1"],
+    ["--x0", "nan"],                              # a NaN path never times out
+])
+def test_mc_bad_input_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_kernel_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kernels", "--kernel", "NOPE"])

@@ -1,14 +1,19 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import dhtlab.hprocess_mc as mc
 from dhtlab.hprocess_mc import (OccupationGrid, PathStats, SdeConfig,
-                                drift_field, estimate_T, expected_occupation,
-                                occupation_check, refine_dt, simulate_path)
+                                _h_fields, _simulate, drift_field, estimate_T,
+                                expected_occupation, occupation_check,
+                                refine_dt, simulate_path)
+from dhtlab.identities import PlanePoint, grad_h, h_func
 from dhtlab.seqops import Seq
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 # frozen by iterated quadrature of the occupation representation at this
 # exact start point (see identities.conditional_kernel_quad)
@@ -20,6 +25,9 @@ def test_config_validation():
         SdeConfig(n=0, start=(0.0, 1.0), dt=1e-3, kill_eps=1e-2)  # dt too big
     with pytest.raises(ValueError):
         SdeConfig(n=0, start=(0.0, -1.0))
+    for start in ((math.nan, 1.0), (0.0, math.inf)):   # NaN paths never time out
+        with pytest.raises(ValueError):
+            SdeConfig(n=0, start=start)
     with pytest.raises(ValueError):
         SdeConfig(n=0, start=(0.0, 1.0), max_time=0.0)
     cfg = SdeConfig(n=2, start=(0.0, 5.0))
@@ -47,6 +55,139 @@ def test_reproducibility_bitwise():
     s1 = estimate_T(Seq.delta(0), cfg, 800)
     s2 = estimate_T(Seq.delta(0), cfg, 800)
     assert s1 == s2
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for arr in arrays:
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
+
+
+def _stats_hex(stats):
+    return (stats.mean.hex(), stats.std_error.hex(), stats.killed_fraction.hex())
+
+
+# Golden bits of seeded runs, recorded before the step loop was fused.  The
+# loop may be restructured freely, but every seeded path must keep consuming
+# the same draws and evaluating the same floating-point expressions; these
+# values must never be regenerated to make a change pass.
+def test_golden_estimate_T_bits():
+    cfg = SdeConfig(n=1, start=(TWO_PI, 4.0), seed=7, max_time=2000.0)
+    assert _stats_hex(estimate_T(Seq.delta(0), cfg, 300)) == (
+        "0x1.386df12948449p-3", "0x1.dd339ffd41c7fp-7", "0x1.0000000000000p+0")
+    two_site = Seq.from_dict({0: 1.0, -1: -1.0})
+    assert _stats_hex(estimate_T(two_site, cfg, 300)) == (
+        "0x1.23d7b7ea7e326p-3", "0x1.ffa76a381050cp-7", "0x1.0000000000000p+0")
+    cfg_a = SdeConfig(n=1, start=(TWO_PI, 5.0), seed=4, max_time=2000.0)
+    assert _stats_hex(estimate_T(Seq.delta(0), cfg_a, 200, antithetic=True)) == (
+        "0x1.8d56e0a276e23p-3", "0x1.5ac95230b57e5p-6", "0x1.fae147ae147aep-1")
+
+
+def test_golden_simulate_path_bits():
+    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=3, max_time=2000.0)
+    s = simulate_path(Seq.delta(0), cfg)
+    assert (s.value.hex(), s.absorbed, s.lifetime.hex(),
+            s.end[0].hex(), s.end[1].hex()) == (
+        "0x1.f853ee0bfc05dp-3", True, "0x1.08a71c2b6b5c7p+5",
+        "0x1.93584ca4d6ac4p+2", "0x1.06353ec5da9d0p-6")
+
+
+GOLDEN_GRID = OccupationGrid(x_min=math.pi, x_max=3 * math.pi,
+                             y_min=0.5, y_max=4.5, nx=4, ny=4)
+
+
+def test_golden_occupation_bits():
+    cfg = SdeConfig(n=1, start=(TWO_PI, 6.0), seed=11, max_time=2000.0)
+    rep = occupation_check(cfg, GOLDEN_GRID, 300)
+    assert _sha256(rep.observed, rep.std_error) == \
+        "9a650d13300cfaef1bde2dbc5af10b08defdd4bf64071d1f32b7b35a95bee9e3"
+
+
+def _multichunk_sha256():
+    # 96 paths in chunks of 64: a full and a partial chunk, each on its own
+    # derived stream, with the functional and the occupation in one pass
+    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=300.0)
+    comp, ms, absorbed, life, (ex, ey), occ = _simulate(
+        Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 96, grid=GOLDEN_GRID,
+        chunk_size=64)
+    return _sha256(comp, ms, absorbed, life, ex, ey, occ)
+
+
+GOLDEN_MULTICHUNK = "1067ebfbbcc73cc4b3adfa7f283e32251da927150221d65e8634260be171191b"
+
+
+def test_golden_multichunk_bits():
+    assert _multichunk_sha256() == GOLDEN_MULTICHUNK
+
+
+def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
+    # the benchmark tracer counts steps and path-steps through this call
+    widths = []
+    real = mc.drift_field
+
+    def counting(cfg, x, y):
+        widths.append(len(x))
+        return real(cfg, x, y)
+
+    monkeypatch.setattr(mc, "drift_field", counting)
+    assert _multichunk_sha256() == GOLDEN_MULTICHUNK
+    # each chunk opens at its full width and only loses paths
+    rises = np.flatnonzero(np.diff(widths) > 0)
+    assert widths[0] == 64 and len(rises) == 1 and widths[rises[0] + 1] == 32
+
+    # a fixed step and no absorption: every path lives the same number of
+    # steps, so the call count and widths are known exactly
+    widths.clear()
+    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, dt=1e-4, dt_cap=1e-4,
+                    max_time=0.05)
+    steps, t = 0, 0.0
+    while t < cfg.max_time:
+        t, steps = t + cfg.dt, steps + 1
+    _simulate(None, cfg, 96, grid=GOLDEN_GRID, chunk_size=64)
+    assert widths == [64] * steps + [32] * steps
+
+
+H_POINTS = [(0.3, 0.5), (2.0, 0.9), (1.0, 1.0), (3.0, 1.0 + EPS), (-2.5, 1.5),
+            (4.0, 3.0), (0.5, 20.0), (0.0, 1e-6), (TWO_PI, 1e-6),
+            (-3 * TWO_PI, 1e-6), (1.0, 40.0), (2.0, 700.0)]
+
+
+@pytest.mark.parametrize("x, y", H_POINTS)
+def test_h_fields_against_independent_formulas(x, y):
+    h, glx, gly = (float(v[0]) for v in _h_fields(np.array([x]), np.array([y])))
+    assert h == pytest.approx(h_func(PlanePoint(x, y)), rel=4 * EPS)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        X, Y = mp.mpf(x), mp.mpf(y)
+        c = mp.cosh(Y) - mp.cos(X)
+        ref_x = float(-mp.sin(X) / c)
+        coth, ratio = mp.coth(Y), mp.sinh(Y) / c
+        ref_y = float(coth - ratio)
+        # d/dy log h = coth y - sinh y / (cosh y - cos x) cancels near the
+        # pole and at large y, so it is held to a few eps of its terms
+        scale_y = float(abs(coth) + abs(ratio))
+    assert glx == pytest.approx(ref_x, rel=4 * EPS, abs=0.0)
+    assert abs(gly - ref_y) <= 4 * EPS * scale_y
+    if y < 300.0:                  # identities.grad_h overflows beyond
+        hx, hy = grad_h(np.array([x]), np.array([y]))
+        hr = h_func(PlanePoint(x, y))
+        assert glx == pytest.approx(hx[0] / hr, rel=4 * EPS, abs=0.0)
+        if y > 1e-3:               # its 1 - cosh y cos x cancels at the pole
+            assert abs(gly - hy[0] / hr) <= 4 * EPS * scale_y
+
+
+def test_h_fields_bits_independent_of_batch():
+    # a path's bits must not depend on which other paths are still live:
+    # mixed below/above y = 1 batches, in any order and at any position,
+    # give each point the bits it gets on its own
+    rng = np.random.default_rng(0)
+    pts = np.array(H_POINTS * 5)[rng.permutation(5 * len(H_POINTS))]
+    single = np.array([np.ravel(_h_fields(p[:1], p[1:])) for p in pts])
+    for batch in (pts, pts[::-1], pts[pts[:, 1] <= 1.0], pts[pts[:, 1] > 1.0]):
+        fields = np.array(_h_fields(batch[:, 0].copy(), batch[:, 1].copy())).T
+        rows = [next(i for i, p in enumerate(pts) if np.array_equal(p, q)) for q in batch]
+        assert np.array_equal(fields, single[rows])
 
 
 def test_linearity_exact():
@@ -136,6 +277,12 @@ def test_occupation_check_smoke():
     assert rep.frac_within_3 >= 0.85
     assert abs(rep.total_z) <= 3.0
     assert rep.chi2_z <= 4.0
+
+
+def test_occupation_check_needs_two_paths():
+    cfg = SdeConfig(n=1, start=(TWO_PI, 6.0), seed=11)
+    with pytest.raises(ValueError):
+        occupation_check(cfg, GOLDEN_GRID, 1)
 
 
 def test_occupation_grid_validation():
