@@ -173,7 +173,8 @@ def _cmd_mc(args, parser) -> int:
                      "nx": grid.nx, "ny": grid.ny},
             "observed": [[float(v) for v in row] for row in rep.observed],
             "expected": [[float(v) for v in row] for row in rep.expected],
-            "z": [[float(v) for v in row] for row in rep.z],
+            "z": [[None if math.isnan(v) else float(v) for v in row]
+                  for row in rep.z],
             "max_abs_z": rep.max_abs_z,
             "frac_within_3": rep.frac_within_3,
             "chi2_z": rep.chi2_z,

@@ -122,7 +122,7 @@ class OccupationReport:
     observed: np.ndarray      # (ny, nx) mean occupation time per path
     expected: np.ndarray      # (ny, nx) closed-form cell integrals
     std_error: np.ndarray     # (ny, nx)
-    z: np.ndarray             # (ny, nx)
+    z: np.ndarray             # (ny, nx); NaN where no path-to-path spread
     paths: int
     max_abs_z: float
     frac_within_3: float
@@ -386,26 +386,33 @@ def occupation_check(cfg: SdeConfig, grid: OccupationGrid,
                      paths: int) -> OccupationReport:
     """Binned mean occupation times against the closed-form density.
 
-    Per-cell z-scores use the path-to-path standard error; the chi-square
-    style aggregate compares sum(z^2) with its cell-count expectation.
+    Per-cell z-scores use the path-to-path standard error.  A cell where every
+    path spent the same time (no path entered it, typically) has no standard
+    error: its z is NaN, "no verdict", unless nothing is expected there
+    either (z = 0).  ``max_abs_z`` and the chi-square style aggregate, which
+    compares sum(z^2) with its expectation, run over the scored cells;
+    ``frac_within_3`` counts an unscored cell as outside.  A run with no
+    path-to-path spread anywhere in the grid is an error.
     """
     if paths < 2:
         raise ValueError("occupation_check needs paths >= 2 for a standard error")
     _, _, _, _, _, occ = _simulate(None, cfg, paths, grid=grid)
+    total_se = float(np.std(occ.sum(axis=1), ddof=1) / math.sqrt(paths))
+    if not total_se > 0:
+        raise ValueError("every path spent the same time in every cell of the "
+                         "grid, so no cell has a standard error; run more paths")
     obs = occ.mean(axis=0).reshape(grid.ny, grid.nx)
     se = (occ.std(axis=0, ddof=1) / math.sqrt(paths)).reshape(grid.ny, grid.nx)
     exp = expected_occupation(cfg, grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(se > 0, (obs - exp) / se, np.where(np.abs(exp) < 1e-12, 0.0, np.inf))
-    cells = grid.cells
-    chi2 = float(np.sum(z * z))
-    chi2_z = (chi2 - cells) / math.sqrt(2.0 * cells)
-    total_se = float(np.std(occ.sum(axis=1), ddof=1) / math.sqrt(paths))
-    total_z = (float(occ.sum(axis=1).mean()) - float(exp.sum())) / total_se \
-        if total_se > 0 else math.inf
+        z = np.where(se > 0, (obs - exp) / se, np.where(np.abs(exp) < 1e-12, 0.0, np.nan))
+    scored = int(np.count_nonzero(~np.isnan(z)))
+    chi2 = float(np.nansum(z * z))
+    chi2_z = (chi2 - scored) / math.sqrt(2.0 * scored)
+    total_z = (float(occ.sum(axis=1).mean()) - float(exp.sum())) / total_se
     return OccupationReport(
         observed=obs, expected=exp, std_error=se, z=z, paths=paths,
-        max_abs_z=float(np.max(np.abs(z))),
+        max_abs_z=float(np.nanmax(np.abs(z))),
         frac_within_3=float(np.mean(np.abs(z) <= 3.0)),
         chi2=chi2, chi2_z=float(chi2_z), total_z=float(total_z))
 

@@ -113,10 +113,27 @@ def grad_poisson(n: int, x, y):
 
 
 def grad_h(x, y):
-    """(d/dx, d/dy) of h_func, vectorized."""
-    c = _cosh_minus_cos(x, y)
-    hx = -np.sinh(y) * np.sin(x) / (_TWO_PI * c * c)
-    hy = (1.0 - np.cosh(y) * np.cos(x)) / (_TWO_PI * c * c)
+    """(d/dx, d/dy) of h_func, vectorized.
+
+    The gradient is (-sinh y sin x, 1 - cosh y cos x) / (2 pi c^2) with
+    c = cosh y - cos x.  Up to y = 20 the second numerator is written as
+    2 sin^2(x/2) - 2 sinh^2(y/2) cos x, which does not cancel near the poles
+    (2 pi k, 0); above it everything is scaled by u = exp(-y), so nothing
+    overflows: (-u (1 - u^2) sin x, u (2u - (1 + u^2) cos x)) / (pi d^2)
+    with d = 1 - 2u cos x + u^2.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    hx, hy = np.empty(x.shape), np.empty(x.shape)
+    lo = y <= 20.0
+    xl, yl = x[lo], y[lo]
+    c2 = _TWO_PI * _cosh_minus_cos(xl, yl) ** 2
+    hx[lo] = -np.sinh(yl) * np.sin(xl) / c2
+    hy[lo] = 2.0 * (np.sin(xl / 2.0) ** 2 - np.sinh(yl / 2.0) ** 2 * np.cos(xl)) / c2
+    xh, u = x[~lo], np.exp(-y[~lo])
+    cos_x = np.cos(xh)
+    d2 = _PI * (1.0 - 2.0 * u * cos_x + u * u) ** 2
+    hx[~lo] = -u * (1.0 - u * u) * np.sin(xh) / d2
+    hy[~lo] = u * (2.0 * u - (1.0 + u * u) * cos_x) / d2
     return hx, hy
 
 

@@ -8,6 +8,7 @@ supports; the two agree to ~1e-12 relative.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -191,13 +192,33 @@ def scale_kernel(k: Kernel, c: float) -> Kernel:
                   tail_exponent=k.tail_exponent, cache_radius=k.cache_radius)
 
 
+@functools.lru_cache(maxsize=1)
+def _kernel_spectra(k: Kernel, n: int):
+    """``rfft`` of the window [-2N, 2N] and of its reverse, at the size that
+    ``fft_convolve`` pads a (2N+1)-entry input against it to.
+
+    One slot: the power iteration alternates forward and adjoint matvecs on a
+    single operator, and an operator kept alive after its run holds neither
+    the spectra nor its window.
+    """
+    kw = k.window_range(-2 * n, 2 * n)
+    size = next_fast_len(6 * n + 1, True)
+    fwd, rev = rfft(kw, size), rfft(kw[::-1], size)
+    fwd.setflags(write=False)
+    rev.setflags(write=False)
+    return size, fwd, rev
+
+
 @dataclass
 class ConvOperator:
     """The truncation P_N T P_N of a convolution operator T to [-N, N].
 
     P_N is an l^p contraction, so norms of truncations are certified lower
-    bounds for the full operator norm and are monotone in N.  The kernel
-    window [-2N, 2N] is materialized once per operator.
+    bounds for the full operator norm and are monotone in N.  Small operators
+    (2N+1 <= 512) convolve directly against the kernel window [-2N, 2N],
+    materialized once per operator; larger ones multiply by the window's
+    cached spectrum, two FFTs per matvec, with the same bits as
+    ``fft_convolve``.
     """
 
     kernel: Kernel
@@ -218,19 +239,27 @@ class ConvOperator:
     def size(self) -> int:
         return 2 * self.window_radius + 1
 
-    def apply_dense(self, v: np.ndarray) -> np.ndarray:
-        """T_N v for v given densely on [-N, N]; returns the same layout."""
-        kw = self._window()
-        full = _convolve_dense(v, kw)
-        # full index t <-> output n = t - 3N
+    def _matvec(self, v: np.ndarray, adjoint: bool) -> np.ndarray:
+        if np.ndim(v) != 1 or len(v) != self.size:
+            raise ValueError(f"v must be 1-d of length 2N+1 = {self.size}, "
+                             f"got shape {np.shape(v)}")
+        # full convolution index t <-> output n = t - 3N
         n = self.window_radius
+        if self.size > _FFT_THRESHOLD:
+            size, fwd, rev = _kernel_spectra(self.kernel, n)
+            full = irfft(rfft(v, size) * (rev if adjoint else fwd), size)
+        else:
+            kw = self._window()
+            full = _convolve_dense_direct(v, kw[::-1] if adjoint else kw)
         return full[2 * n: 4 * n + 1]
 
+    def apply_dense(self, v: np.ndarray) -> np.ndarray:
+        """T_N v for v given densely on [-N, N]; returns the same layout."""
+        return self._matvec(v, adjoint=False)
+
     def apply_adjoint_dense(self, v: np.ndarray) -> np.ndarray:
-        kw = self._window()[::-1]
-        full = _convolve_dense(v, kw)
-        n = self.window_radius
-        return full[2 * n: 4 * n + 1]
+        """T_N' v, the transpose applied in the same layout."""
+        return self._matvec(v, adjoint=True)
 
     def apply(self, a: Seq) -> Seq:
         v = a.to_dense(-self.window_radius, self.window_radius)

@@ -135,6 +135,7 @@ def test_mc_heavy_gate(capsys):
     ["--dt", "1e-3"],                             # dt > kill_eps^2 / 4
     ["--y0", "-1"],
     ["--x0", "nan"],                              # a NaN path never times out
+    ["--mode", "occupation", "--paths", "2", "--max-time", "0.001"],  # no spread
 ])
 def test_mc_bad_input_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -153,3 +154,48 @@ def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["kernels", "--kernel", "H", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+# every subcommand at small documented flags; CSV runs carry their config
+# as JSON in the header line
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--kernel", "J", "--radius", "10", "--format", "json"],
+    ["kernels", "--kernel", "E", "--radius", "10"],
+    ["factorize", "--window", "64", "--mass-tol", "1e-6"],
+    ["norms", "--kernel", "K", "--p", "4", "--radii", "16,300",
+     "--max-iter", "50", "--format", "json"],
+    ["norms", "--kernel", "J", "--p", "1.5", "--radii", "16", "--max-iter", "50"],
+    ["verify"],
+    ["weaktype", "--budget", "3", "--seed", "1", "--window", "2048"],
+    ["mc", "--n", "0", "--y0", "4", "--paths", "300", "--max-time", "500"],
+    ["mc", "--mode", "occupation", "--paths", "2"],
+])
+def test_output_is_strict_json(capsys, argv):
+    rc, out = run_cli(capsys, *argv)
+    assert rc == 0
+    if out.startswith("# "):
+        strict_json(out.splitlines()[0].split(" config=", 1)[1])
+    else:
+        for line in ([out] if out.startswith("{\n") else out.splitlines()):
+            strict_json(line)
+
+
+def test_mc_occupation_unvisited_cells_have_no_verdict(capsys):
+    # two paths leave cells unvisited: their z is null, not Infinity, and
+    # the aggregates run over the scored cells
+    rc, out = run_cli(capsys, "mc", "--mode", "occupation", "--paths", "2")
+    assert rc == 0
+    res = strict_json(out)["results"]
+    zs = [v for row in res["z"] for v in row]
+    scored = [abs(v) for v in zs if v is not None]
+    assert 0 < len(scored) < len(zs)
+    assert res["max_abs_z"] == max(scored)
+    assert res["frac_within_3"] == sum(v <= 3.0 for v in scored) / len(zs)
+    assert math.isfinite(res["chi2_z"]) and math.isfinite(res["total_z"])

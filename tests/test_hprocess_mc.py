@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,12 +170,10 @@ def test_h_fields_against_independent_formulas(x, y):
         scale_y = float(abs(coth) + abs(ratio))
     assert glx == pytest.approx(ref_x, rel=4 * EPS, abs=0.0)
     assert abs(gly - ref_y) <= 4 * EPS * scale_y
-    if y < 300.0:                  # identities.grad_h overflows beyond
-        hx, hy = grad_h(np.array([x]), np.array([y]))
-        hr = h_func(PlanePoint(x, y))
-        assert glx == pytest.approx(hx[0] / hr, rel=4 * EPS, abs=0.0)
-        if y > 1e-3:               # its 1 - cosh y cos x cancels at the pole
-            assert abs(gly - hy[0] / hr) <= 4 * EPS * scale_y
+    hx, hy = grad_h(np.array([x]), np.array([y]))
+    hr = h_func(PlanePoint(x, y))
+    assert glx == pytest.approx(hx[0] / hr, rel=4 * EPS, abs=0.0)
+    assert abs(gly - hy[0] / hr) <= 4 * EPS * scale_y
 
 
 def test_h_fields_bits_independent_of_batch():
@@ -188,6 +187,22 @@ def test_h_fields_bits_independent_of_batch():
         fields = np.array(_h_fields(batch[:, 0].copy(), batch[:, 1].copy())).T
         rows = [next(i for i, p in enumerate(pts) if np.array_equal(p, q)) for q in batch]
         assert np.array_equal(fields, single[rows])
+
+
+def test_occupation_check_unscored_cells():
+    cfg = SdeConfig(n=1, start=(TWO_PI, 8.0), seed=0)
+    rep = occupation_check(cfg, GOLDEN_GRID, 2)
+    unscored = np.isnan(rep.z)
+    assert np.any(unscored) and not np.all(unscored)
+    assert np.all(rep.std_error[unscored] == 0.0)
+    assert np.all(rep.expected[unscored] != 0.0)
+    finite = rep.z[~unscored]
+    assert rep.max_abs_z == np.max(np.abs(finite))
+    assert rep.chi2 == pytest.approx(np.sum(finite ** 2), rel=1e-15)
+    assert rep.chi2_z == (rep.chi2 - finite.size) / math.sqrt(2.0 * finite.size)
+    assert rep.frac_within_3 == np.count_nonzero(np.abs(finite) <= 3.0) / rep.z.size
+    with pytest.raises(ValueError, match="same time"):
+        occupation_check(replace(cfg, max_time=1e-3), GOLDEN_GRID, 2)
 
 
 def test_linearity_exact():

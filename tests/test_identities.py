@@ -191,6 +191,29 @@ def test_grad_h_matches_finite_differences():
     assert hy[0] == pytest.approx(dy, abs=1e-8)
 
 
+@pytest.mark.parametrize("x, y", [
+    (0.0, 1e-6), (TWO_PI, 1e-6), (-3 * TWO_PI, 1e-6), (TWO_PI + 1e-7, 1e-6),
+    (0.3, 20.0), (2.0, 20.0 + 1e-9), (1.0, 40.0), (0.0, 40.0), (2.0, 700.0),
+    (math.pi / 2, 700.0)])
+def test_grad_h_against_mpmath(x, y):
+    # near the poles (2 pi k, 0) 1 - cosh y cos x cancels, and above
+    # y ~ 355 (cosh y - cos x)^2 overflows; neither may cost accuracy
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        hx, hy = I.grad_h(np.array([x]), np.array([y]))
+    with mp.workdps(50):
+        X, Y = mp.mpf(x), mp.mpf(y)
+        c2 = 2 * mp.pi * (mp.cosh(Y) - mp.cos(X)) ** 2
+        ref_x = float(-mp.sinh(Y) * mp.sin(X) / c2)
+        ref_y = float((1 - mp.cosh(Y) * mp.cos(X)) / c2)
+        # the d/dy numerator is a difference: hold it to its terms' size
+        scale_y = float((2 * mp.sin(X / 2) ** 2
+                         + 2 * mp.sinh(Y / 2) ** 2 * abs(mp.cos(X))) / c2)
+    assert hx[0] == pytest.approx(ref_x, rel=4 * eps, abs=0.0)
+    assert abs(hy[0] - ref_y) <= 4 * eps * scale_y
+
+
 def test_reflection_symmetry_of_cross_terms():
     # at fixed height, integral of p_0 H grad p_1 . grad (1/h) equals minus
     # the integral of p_1 H grad p_0 . grad (1/h)  (x -> 2 pi - x)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -126,3 +127,62 @@ def test_estimate_validates_arguments():
         estimate_norm(op, P2, max_iter=0)
     with pytest.raises(ValueError):
         estimate_norm(op, P2, tol=0.0)
+
+
+# (value.hex(), iterations, SHA-256 of the history hexes, the certificate
+# offset and bytes) at max_iter 200; captured before the FFT matvec reused
+# a cached kernel spectrum and never regenerated: that change must keep
+# every bit
+ESTIMATE_PINS = {
+    ('H', 256, 1.3333333333333333): ('0x1.a3cd72ca1c68bp+0', 12,
+        'cf7e735f0178c45ac1d46696074007526dd9c3560f6e00e81dd965457b1e332a'),
+    ('H', 256, 2.0): ('0x1.fcafb52cf5246p-1', 200,
+        'cb56e6aed543a9471cc1a94b79d7bc32d3d18edd8cf3a9f88508f8aebff4fcb3'),
+    ('H', 256, 4.0): ('0x1.a3cd72ca0804fp+0', 10,
+        '4e672cc09dee51adc94bf6b55641bb7332a57f77e6ff0ab9b5a196e5aee3a4a5'),
+    ('H', 1024, 1.3333333333333333): ('0x1.c4c0b106d1003p+0', 12,
+        '5a4c93e91986b6449f886f00e67e99d86c5426ae8095df35172e04d7bb32f18e'),
+    ('H', 1024, 2.0): ('0x1.fef9e4604c4c7p-1', 200,
+        '9e34bcadd9ba67998efecb36a6486fed52ebef63afc1531731fba44845209bf0'),
+    ('H', 1024, 4.0): ('0x1.c4c0b1067d539p+0', 10,
+        '2af26793560bb2cf19ddbbf81edaf660553753466d3c41a67ebd6280135d95ba'),
+    ('J', 256, 1.3333333333333333): ('0x1.b9c371d4120a9p+0', 11,
+        '997eb095c0cfdee15653e81f8b4f3a5b98f56d5756fa9e8c334d599960162af2'),
+    ('J', 256, 2.0): ('0x1.ffc710020cd13p-1', 200,
+        '4369aad065bbde4ed154102c651d41f8a11702c9a9ae11599b33b10b8226eca1'),
+    ('J', 256, 4.0): ('0x1.b9c371d3f6854p+0', 9,
+        'f965bd75236bfbe8d83c813f9d8af2e241bc42aa7200ed80b4c2811b84dad38c'),
+    ('J', 1024, 1.3333333333333333): ('0x1.d69c65337675ep+0', 11,
+        '57615da78f52c6875682d10012de0ef9e07bf7528e886dba1820adcef356d8e6'),
+    ('J', 1024, 2.0): ('0x1.ffde75ec6b1d6p-1', 200,
+        '51529ee991a7573afa7ecbe3e9f71a14059c52cfb6a8996f6c6cb7af89b07b60'),
+    ('J', 1024, 4.0): ('0x1.d69c6532de0dap+0', 9,
+        'dab48ad0f6f792f0a636ff10b52a730685a835a3fb22b5fa306a63b2f2aa7f2d'),
+    ('K', 256, 1.3333333333333333): ('0x1.d11f8c07a6305p+0', 400,
+        '5df15c2bd81e074a580706b6e8729881ea3cbe071fbcb35691ad1ada9a73adad'),
+    ('K', 256, 2.0): ('0x1.fffcbd5398260p-1', 200,
+        '4c51411596229afa4582ceef1c6830c7887f33bf5e8958ab53bae9a3df37a63b'),
+    ('K', 256, 4.0): ('0x1.d11f87a1046bcp+0', 200,
+        'ad3731fe80b53c7415a8fa9b73dba6fc04466a3b1f81462e4fadf00361b0aec4'),
+    ('K', 1024, 1.3333333333333333): ('0x1.e97979ad2bc84p+0', 15,
+        '43a622fa420196b0fba2e5caa4ff74ba23defbf3b10dcce3ea5e7177955c9f25'),
+    ('K', 1024, 2.0): ('0x1.fffda6bd77251p-1', 200,
+        'f97d0dcf00af512ade8257e9421926877ce1bc750ce72badb4188272a412ffec'),
+    ('K', 1024, 4.0): ('0x1.e97979a970212p+0', 13,
+        'efd742b21b9f5ba8408b084010df71452fa1520293c6f777f861dc2c1fce2065'),
+}
+
+
+def _estimate_pin(est):
+    h = hashlib.sha256()
+    for x in est.history:
+        h.update(x.hex().encode())
+    h.update(str(est.certificate.offset).encode())
+    h.update(est.certificate.values.tobytes())
+    return est.value.hex(), est.iterations, h.hexdigest()
+
+
+@pytest.mark.parametrize("name, n, p", list(ESTIMATE_PINS))
+def test_estimate_norm_golden_bits(name, n, p):
+    est = estimate_norm(ConvOperator(K.KERNELS[name], n), Exponent(p), max_iter=200)
+    assert _estimate_pin(est) == ESTIMATE_PINS[name, n, p]

@@ -148,6 +148,46 @@ def test_conv_operator_window_reads():
     assert val == pytest.approx(H_WINDOW64_L2, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [8, 300])        # direct and FFT paths
+@pytest.mark.parametrize("method", ["apply_dense", "apply_adjoint_dense"])
+def test_conv_operator_rejects_bad_shape(n, method):
+    apply = getattr(ConvOperator(K.HILBERT, n), method)
+    for v in (np.ones(2 * n), np.ones(2 * n + 2), np.ones((2 * n + 1, 1)),
+              np.ones((1, 2 * n + 1)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="length 2N"):
+            apply(v)
+    assert apply(np.ones(2 * n + 1)).shape == (2 * n + 1,)
+
+
+def test_conv_operator_spectra_do_not_leak_between_operators():
+    # the FFT path keeps one kernel spectrum at a time; alternating
+    # operators, sizes and directions must never reuse another's entry
+    ops = [ConvOperator(K.HILBERT, 256), ConvOperator(K.J, 1024),
+           ConvOperator(adjoint_kernel(K.J), 256),
+           ConvOperator(scale_kernel(K.HILBERT, 2.0), 256)]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        for op in ops:
+            n = op.window_radius
+            kw = op.kernel.window_range(-2 * n, 2 * n)
+            for adjoint in (False, True, False):
+                v = rng.standard_normal(2 * n + 1)
+                if adjoint:
+                    got, ref = op.apply_adjoint_dense(v), fft_convolve(v, kw[::-1])
+                else:
+                    got, ref = op.apply_dense(v), fft_convolve(v, kw)
+                assert np.array_equal(got, ref[2 * n: 4 * n + 1])
+
+
+def test_conv_operator_direct_path_below_threshold():
+    op = ConvOperator(K.J, 255)                   # 2N+1 = 511 <= 512
+    kw = K.J.window(510)
+    v = np.random.default_rng(6).standard_normal(511)
+    assert np.array_equal(op.apply_dense(v), _convolve_dense_direct(v, kw)[510:1021])
+    assert np.array_equal(op.apply_adjoint_dense(v),
+                          _convolve_dense_direct(v, kw[::-1])[510:1021])
+
+
 def test_scale_kernel():
     k = scale_kernel(K.HILBERT, 2.0)
     assert k.value(3) == 2.0 * K.hilbert_kernel(3)
