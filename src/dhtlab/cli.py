@@ -9,6 +9,7 @@ are 0 (success), 1 (verification failure), 2 (usage error).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -20,6 +21,16 @@ _SCHEMA = "dhtlab/1"
 
 def _fail_usage(parser: argparse.ArgumentParser, msg: str):
     parser.error(msg)  # argparse exits with status 2
+
+
+@contextlib.contextmanager
+def _usage_errors(parser: argparse.ArgumentParser):
+    """Report the library's ValueError for a bad flag value as a usage error
+    (exit 2), keeping exit 1 for verification failures."""
+    try:
+        yield
+    except ValueError as ex:
+        _fail_usage(parser, str(ex))
 
 
 def _emit(text: str, path: str | None):
@@ -47,8 +58,8 @@ def _cmd_kernels(args, parser) -> int:
     if args.kernel not in KERNELS:
         _fail_usage(parser, f"unknown kernel {args.kernel!r} "
                             f"(choose from {sorted(KERNELS)})")
-    k = KERNELS[args.kernel]
-    vals = k.window(args.radius)
+    with _usage_errors(parser):
+        vals = KERNELS[args.kernel].window(args.radius)
     ns = range(-args.radius, args.radius + 1)
     config = {"kernel": args.kernel, "radius": args.radius,
               "format": args.format}
@@ -64,7 +75,8 @@ def _cmd_kernels(args, parser) -> int:
 
 def _cmd_factorize(args, parser) -> int:
     from dhtlab.factorization import build_K
-    kit = build_K(args.window, args.mass_tol)
+    with _usage_errors(parser):
+        kit = build_K(args.window, args.mass_tol)
     config = {"window": args.window, "mass_tol": args.mass_tol}
     results = {"alpha": kit.alpha, "window": kit.window,
                "G": [float(v) for v in kit.G],
@@ -85,9 +97,9 @@ def _cmd_norms(args, parser) -> int:
         radii = [int(r) for r in args.radii.split(",") if r]
     except ValueError:
         _fail_usage(parser, f"bad radii list {args.radii!r}")
-    e = Exponent(args.p)
-    ests = norm_sweep(KERNELS[args.kernel], e, radii, seed=args.seed,
-                      max_iter=args.max_iter, tol=args.tol)
+    with _usage_errors(parser):
+        ests = norm_sweep(KERNELS[args.kernel], Exponent(args.p), radii,
+                          seed=args.seed, max_iter=args.max_iter, tol=args.tol)
     config = {"kernel": args.kernel, "p": args.p, "radii": radii,
               "seed": args.seed, "max_iter": args.max_iter, "tol": args.tol,
               "format": args.format}
@@ -108,10 +120,8 @@ def _cmd_norms(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     from dhtlab.identities import run_section3_suite
-    try:
+    with _usage_errors(parser):
         reports = run_section3_suite(args.tol_profile)
-    except ValueError as ex:
-        _fail_usage(parser, str(ex))
     config = {"suite": args.suite, "tol_profile": args.tol_profile}
     doc = _json_doc("verify", config, [r.as_dict() for r in reports])
     _emit(doc, args.output)
@@ -123,9 +133,10 @@ def _cmd_weaktype(args, parser) -> int:
     from dhtlab.weaktype import davis_constant, search_weak_constant
     if args.kernel not in KERNELS:
         _fail_usage(parser, f"unknown kernel {args.kernel!r}")
-    best = search_weak_constant(KERNELS[args.kernel], args.family,
-                                args.budget, seed=args.seed,
-                                window=args.window)
+    with _usage_errors(parser):
+        best = search_weak_constant(KERNELS[args.kernel], args.family,
+                                    args.budget, seed=args.seed,
+                                    window=args.window)
     config = {"kernel": args.kernel, "family": args.family,
               "budget": args.budget, "seed": args.seed, "window": args.window}
     lines = [json.dumps({"schema": _SCHEMA, "command": "weaktype",
@@ -149,7 +160,8 @@ def _cmd_mc(args, parser) -> int:
               "dt": args.dt, "kill_eps": args.kill_eps,
               "max_time": args.max_time, "paths": args.paths,
               "seed": args.seed}
-    try:  # bad configurations and path counts are rejected before any work
+    # bad configurations and path counts are rejected before any work
+    with _usage_errors(parser):
         cfg = SdeConfig(n=args.n, start=(x0, args.y0), dt=args.dt,
                         kill_eps=args.kill_eps, max_time=args.max_time,
                         seed=args.seed)
@@ -160,8 +172,6 @@ def _cmd_mc(args, parser) -> int:
             grid = OccupationGrid(x_min=x0 - math.pi, x_max=x0 + math.pi,
                                   y_min=0.5, y_max=0.5 + span, nx=5, ny=5)
             rep = occupation_check(cfg, grid, args.paths)
-    except ValueError as ex:
-        _fail_usage(parser, str(ex))
     if args.mode == "functional":
         results = {"mean": stats.mean, "std_error": stats.std_error,
                    "paths": stats.paths,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from dhtlab.identities import PlanePoint, green_G, poisson_p
-from dhtlab.numerics import _gk_eval  # fixed rule for expected-occupation cells
+from dhtlab.numerics import gk_eval  # fixed rule for expected-occupation cells
 from dhtlab.seqops import Seq
 
 __all__ = [
@@ -372,12 +372,12 @@ def expected_occupation(cfg: SdeConfig, grid: OccupationGrid) -> np.ndarray:
                         return pn * G / pn0
                     lo = np.array([xs[i], 0.5 * (xs[i] + xs[i + 1])])
                     hi = np.array([0.5 * (xs[i] + xs[i + 1]), xs[i + 1]])
-                    v, _ = _gk_eval(fx, lo, hi)
+                    v, _ = gk_eval(fx, lo, hi)
                     vals[kk] = v.sum()
                 return vals
             lo = np.array([ys[j], 0.5 * (ys[j] + ys[j + 1])])
             hi = np.array([0.5 * (ys[j] + ys[j + 1]), ys[j + 1]])
-            v, _ = _gk_eval(inner, lo, hi)
+            v, _ = gk_eval(inner, lo, hi)
             out[j, i] = v.sum()
     return out
 

@@ -21,6 +21,10 @@ evaluation.  Two evaluators share the work:
   J/F moments m_k = 2^(-2k-1) (2k+3)! zeta(2k+3) in closed form, the E
   moments M_k once on the grid.  Its bar is the moments' own errors, plus the
   remainder M_K / a^(2K+2), which is a rigorous bound, plus 4 eps |v|.
+
+Importing this module loads no scipy: the zeta values are literals, and
+``scipy.special.shichi`` is imported only when E_0 is first evaluated.  A J,
+F or closed-form dump therefore never pays for the scipy import.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import threading
 from functools import cached_property
 
 import numpy as np
-from scipy.special import shichi, zeta
 
 from dhtlab.numerics import csch_cu, csch_sq, gk15_panels
 
@@ -57,6 +60,14 @@ _PANEL_WIDTH = 0.5
 _N0 = 32
 _K = 8
 
+# zeta(2k + 3) for k = 0.._K, correctly rounded (bit-identical to
+# scipy.special.zeta; pinned against both in the tests).
+_ZETA_ODD = (
+    1.2020569031595942, 1.03692775514337, 1.008349277381923,
+    1.0020083928260821, 1.0004941886041194, 1.0001227133475785,
+    1.000030588236307, 1.0000076371976379, 1.0000019082127165,
+)
+
 
 def sinh_minus_shi(y):
     """sinh(y) - integral_0^y sinh(t)/t dt, stable for all y >= 0.
@@ -66,6 +77,8 @@ def sinh_minus_shi(y):
     y = 350 the quantity under its 2y/sinh^3 envelope is below 1e-290 and is
     treated as zero by callers.
     """
+    from scipy.special import shichi  # only E_0 needs it; keeps scipy off J/F dumps
+
     y = np.atleast_1d(np.asarray(y, dtype=float))
     out = np.empty_like(y)
     small = y < 1.0
@@ -104,7 +117,6 @@ class _ExpGrid:
         # envelopes at the outer nodes
         self.env_j = 2.0 * self.y ** 3 * csch_sq(self.y)       # for J and F
         self.env_e = 2.0 * self.y * csch_cu(self.y)            # for E
-        self.bracket0 = sinh_minus_shi(self.y)                 # for E at n = 0
 
         self.n_nodes = len(self.y)
 
@@ -145,6 +157,11 @@ class _ExpGrid:
         a2 = (_PI * ns.astype(float)) ** 2
         vk, err = self._nested(self.t_sinh_t[None, :] / (self.t_flat[None, :] ** 2 + a2[:, None]))
         return -vk, err
+
+    @cached_property
+    def bracket0(self) -> np.ndarray:
+        """sinh_minus_shi on the outer nodes, for E at n = 0 only."""
+        return sinh_minus_shi(self.y)
 
     def e_zero(self):
         vk, err = self._outer_sums((self.env_e * self.bracket0)[None, :])
@@ -192,10 +209,12 @@ class _Evaluators:
     def f_moments(self):
         """m_k = integral_0^inf 2 y^(2k+3) csch^2 y dy = 2^(-2k-1) (2k+3)! zeta(2k+3)
         for k <= K.  The factorials are exact in floating point, so the error
-        is the rounding of zeta and of one product (measured < 0.4 eps)."""
+        is the rounding of zeta and of one product (measured < 0.4 eps;
+        ``test_zeta_literals_and_moments`` in ``tests/test_kernels.py`` pins
+        both the literals and that bound)."""
         k = range(_K + 1)
         fact = np.array([math.ldexp(math.factorial(2 * i + 3), -2 * i - 1) for i in k])
-        m = fact * zeta(np.array([2.0 * i + 3.0 for i in k]))
+        m = fact * np.array(_ZETA_ODD)
         return m, _EPS * m
 
     @cached_property
@@ -258,7 +277,8 @@ class Kernel:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _compute(self, ns: np.ndarray):
+    def evaluate(self, ns):
+        """Values and error bars at the indices ``ns``, bypassing the cache."""
         vals, errs = self._batch_fn(np.asarray(ns, dtype=np.int64))
         return np.asarray(vals, dtype=float), np.asarray(errs, dtype=float)
 
@@ -282,7 +302,7 @@ class Kernel:
         missing = np.isnan(self._vals[idx])
         if missing.any():
             ns = np.arange(lo, hi + 1)[missing]
-            vals, errs = self._compute(ns)
+            vals, errs = self.evaluate(ns)
             self._vals[idx[missing]] = vals
             self._errs[idx[missing]] = errs
 
@@ -291,7 +311,7 @@ class Kernel:
         if abs(n) <= self.cache_radius:
             self._fill(n, n)
             return float(self._vals[n + self.cache_radius])
-        vals, _ = self._compute(np.array([n]))
+        vals, _ = self.evaluate(np.array([n]))
         return float(vals[0])
 
     __call__ = value
@@ -304,21 +324,25 @@ class Kernel:
         if -self.cache_radius <= lo and hi <= self.cache_radius:
             self._fill(lo, hi)
             return self._vals[lo + self.cache_radius: hi + 1 + self.cache_radius].copy()
-        vals, _ = self._compute(np.arange(lo, hi + 1))
+        vals, _ = self.evaluate(np.arange(lo, hi + 1))
         return vals
 
     def window(self, radius: int):
         """Values for n = -radius..radius."""
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
         return self.window_range(-radius, radius)
 
     def error_window(self, radius: int):
         """Per-entry quadrature error estimates for n = -radius..radius."""
         radius = int(radius)
+        if radius < 0:
+            raise ValueError(f"radius must be >= 0, got {radius}")
         if radius <= self.cache_radius:
             self._fill(-radius, radius)
             c = self.cache_radius
             return self._errs[c - radius: c + radius + 1].copy()
-        _, errs = self._compute(np.arange(-radius, radius + 1))
+        _, errs = self.evaluate(np.arange(-radius, radius + 1))
         return errs
 
     def __repr__(self):

@@ -25,6 +25,7 @@ __all__ = [
     "csch_cu",
     "coth",
     "gk15_panels",
+    "gk_eval",
 ]
 
 
@@ -129,7 +130,7 @@ def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
     return np.array([float(f(xi)) for xi in x])
 
 
-def _gk_eval(f, lo: np.ndarray, hi: np.ndarray):
+def gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     """Apply the Gauss-Kronrod pair on each panel [lo_i, hi_i]."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -199,7 +200,7 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10, *,
     lo = np.array(lo_list)
     hi = np.array(hi_list)
 
-    vals, errs = _gk_eval(f, lo, hi)
+    vals, errs = gk_eval(f, lo, hi)
     evals = 15 * len(lo)
     min_width = 16 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
 
@@ -224,7 +225,7 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10, *,
         mid = 0.5 * (s_lo + s_hi)
         new_lo = np.concatenate([lo[~split], s_lo, mid])
         new_hi = np.concatenate([hi[~split], mid, s_hi])
-        new_vals, new_errs = _gk_eval(f, np.concatenate([s_lo, mid]),
+        new_vals, new_errs = gk_eval(f, np.concatenate([s_lo, mid]),
                                       np.concatenate([mid, s_hi]))
         evals += 15 * 2 * len(s_lo)
         vals = np.concatenate([vals[~split], new_vals])

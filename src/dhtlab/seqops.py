@@ -178,7 +178,7 @@ def convolve(k: Kernel, a: Seq, out_radius: int) -> Seq:
 def adjoint_kernel(k: Kernel) -> Kernel:
     """Kernel of the transposed operator: n -> k(-n)."""
     def batch(ns):
-        return k._batch_fn(-np.asarray(ns))
+        return k.evaluate(-np.asarray(ns))
     return Kernel(k.name + "^T", batch, parity=k.parity,
                   tail_exponent=k.tail_exponent, cache_radius=k.cache_radius)
 
@@ -186,7 +186,7 @@ def adjoint_kernel(k: Kernel) -> Kernel:
 def scale_kernel(k: Kernel, c: float) -> Kernel:
     """Kernel pointwise scaled by the constant c."""
     def batch(ns):
-        vals, errs = k._batch_fn(np.asarray(ns))
+        vals, errs = k.evaluate(ns)
         return c * vals, abs(c) * errs
     return Kernel(f"{c}*{k.name}", batch, parity=k.parity,
                   tail_exponent=k.tail_exponent, cache_radius=k.cache_radius)

@@ -72,11 +72,19 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     exactly invariant under scaling of ``a`` (integer-valued sequences scale
     without rounding).  The report carries the analytic bound on |Ta_n|
     outside the window; a run is window-limited when that bound reaches the
-    optimal lambda, i.e. when outside entries could change the count.
+    optimal lambda, i.e. when outside entries could change the count.  The
+    bound is the largest |k| at distances +-edge and +-(edge + 1) from the
+    support, so a kernel that vanishes on one parity (KAK) is still bounded.
+    The support must lie strictly inside the window (edge >= 1).
     """
     at = a.trimmed()
     if at.is_zero():
         raise ValueError("weak_ratio of the zero sequence")
+    s_lo, s_hi = at.support
+    edge = window - max(abs(s_lo), abs(s_hi))
+    if edge < 1:
+        raise ValueError(f"support {at.support} reaches the window edge "
+                         f"(window {window}); no tail bound")
     l1 = float(np.sum(np.abs(at.values)))
     u = Seq(at.offset, at.values / l1)
 
@@ -92,9 +100,9 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     ratios = lambdas * cum
     best = int(np.argmax(ratios))           # ties resolve to the largest lambda
 
-    s_lo, s_hi = at.support
-    edge = window - max(abs(s_lo), abs(s_hi))
-    tail_bound = max(abs(k.value(edge)), abs(k.value(-edge)))
+    near = np.concatenate([k.window_range(-edge - 1, -edge),
+                           k.window_range(edge, edge + 1)])
+    tail_bound = float(np.max(np.abs(near)))
     limited = bool(tail_bound >= lambdas[best])
     note = (f"|Ta_n| <= {tail_bound:.3e} outside the window "
             f"(kernel bound at distance {edge})")

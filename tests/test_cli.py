@@ -144,6 +144,24 @@ def test_mc_bad_input_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--kernel", "H", "--radius", "-3"],
+    ["factorize", "--window", "0"],
+    ["factorize", "--mass-tol", "0"],
+    ["norms", "--kernel", "H", "--p", "1", "--radii", "16"],
+    ["norms", "--kernel", "H", "--p", "2", "--radii", "0"],
+    ["norms", "--kernel", "H", "--p", "2", "--radii", "16", "--max-iter", "0"],
+    ["weaktype", "--budget", "0"],
+    ["weaktype", "--window", "0"],
+    ["weaktype", "--window", "10"],               # support reaches the edge
+])
+def test_bad_input_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_unknown_kernel_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["kernels", "--kernel", "NOPE"])

@@ -243,3 +243,26 @@ def test_entries_do_not_depend_on_the_window():
     w = K.J.window(5000)
     assert w[5000 + 1] == w1[2] and w[5000 - 1] == w1[0]
     assert K.E.window(5000)[5000 + 40] == K.E.window_range(40, 40)[0]
+
+
+def test_zeta_literals_and_moments():
+    # the literals that keep scipy out of kernel dumps are scipy's values,
+    # correctly rounded, and the J/F moments built from them are < 0.4 eps off
+    mp = pytest.importorskip("mpmath")
+    from scipy.special import zeta
+    s = np.array([2.0 * k + 3.0 for k in range(K._K + 1)])
+    assert np.array_equal(np.array(K._ZETA_ODD), zeta(s))
+    m, _ = K._EVALUATORS.f_moments
+    with mp.workdps(40):
+        for k, z in enumerate(K._ZETA_ODD):
+            assert z == float(mp.zeta(2 * k + 3))
+            true = mp.ldexp(mp.factorial(2 * k + 3), -2 * k - 1) * mp.zeta(2 * k + 3)
+            assert abs(mp.mpf(m[k]) - true) <= 0.4 * EPS * true
+
+
+@pytest.mark.parametrize("kernel", [K.HILBERT, K.J])
+def test_windows_reject_negative_radius(kernel):
+    # a negative radius used to give an empty error window, silently
+    for method in (kernel.window, kernel.error_window):
+        with pytest.raises(ValueError, match="radius"):
+            method(-3)

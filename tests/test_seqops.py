@@ -211,14 +211,52 @@ def test_fft_convolve_matches_scipy_signal_bitwise(na, nk):
     assert np.array_equal(fft_convolve(a, k), fftconvolve(a, k))
 
 
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+
+
+def _run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter that imports from src."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_package_does_not_import_scipy_signal():
     code = ("import sys, pkgutil, importlib, dhtlab\n"
             "for m in pkgutil.iter_modules(dhtlab.__path__):\n"
             "    importlib.import_module('dhtlab.' + m.name)\n"
             "print('scipy.signal' in sys.modules)\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert _run_fresh(code).strip() == "False"
+
+
+def test_kernel_dumps_do_not_import_scipy():
+    # H, J and F dumps, from the table (radius < 32) and the series (past the
+    # cache radius), load numpy only; scipy is left to FFTs and E_0
+    code = ("import io, sys, contextlib\n"
+            "from dhtlab.cli import main\n"
+            "for k in ('H', 'J', 'F'):\n"
+            "    for r in ('10', '5000'):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert main(['kernels', '--kernel', k, '--radius', r]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_no_module_uses_another_modules_private_names():
+    # no `from dhtlab.x import _name`, and private attributes are reached only
+    # through self or cls (stricter than needed, but simple to check)
+    import ast
+    import pathlib
+    found = []
+    for path in sorted(pathlib.Path(SRC, "dhtlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dhtlab"):
+                found += [f"{path.name}: import {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and not node.attr.startswith("__")
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls"))):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []

@@ -49,6 +49,23 @@ def test_weak_ratio_rejects_zero():
         W.weak_ratio(K.HILBERT, Seq.from_dict({}), 100)
 
 
+@pytest.mark.parametrize("window,limited", [(4, True), (100, False)])
+def test_tail_bound_covers_kernel_zeros(window, limited):
+    # KAK vanishes at even n, so at an even edge the bound is |KAK(edge + 1)|;
+    # at window 4 it reaches the optimal lambda, so the count is not exact
+    rep = W.weak_ratio(K.KAK, Seq(-2, np.ones(5)), window)
+    edge = window - 2
+    assert f"<= {2.0 / (math.pi * (edge + 1)):.3e} outside" in rep.tail_note
+    assert rep.window_limited is limited
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_weak_ratio_rejects_support_at_window_edge(window):
+    # edge < 1 leaves no distance at which to bound the kernel
+    with pytest.raises(ValueError, match="window edge"):
+        W.weak_ratio(K.HILBERT, Seq(-2, np.ones(5)), window)
+
+
 def test_scaling_invariance_exact():
     for entries in ({0: 1.0}, {0: 1.0, 1: -1.0}, {-2: 1.0, 0: -1.0, 3: 1.0}):
         a = Seq.from_dict(entries)
