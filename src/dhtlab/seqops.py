@@ -3,19 +3,18 @@
 Sequences have value semantics (frozen dataclass over a read-only array) and
 may be shared freely between threads.  Convolution has a direct path with a
 fixed summation order for bit-reproducibility and an FFT path for large
-supports; the two agree to ~1e-12 relative.
+supports; the two agree to ~1e-12 relative.  The FFTs are ``numpy.fft``'s,
+so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
 import functools
-import io
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from dhtlab.kernels import Kernel
 from dhtlab.numerics import Exponent
@@ -28,10 +27,7 @@ __all__ = [
     "fft_convolve",
     "adjoint_kernel",
     "scale_kernel",
-    "seq_to_csv",
-    "seq_from_csv",
-    "seq_to_json",
-    "seq_from_json",
+    "next_fast_len",
 ]
 
 _FFT_THRESHOLD = 512
@@ -110,6 +106,8 @@ def lp_norm(a: Seq, p) -> float:
     a real in [1, inf), or math.inf."""
     if isinstance(p, Exponent):
         p = p.p
+    if not p >= 1:                      # also rejects NaN
+        raise ValueError(f"p must be >= 1, got {p!r}")
     v = np.abs(a.values)
     if len(v) == 0:
         return 0.0
@@ -117,21 +115,33 @@ def lp_norm(a: Seq, p) -> float:
         return float(v.max())
     if p == 1:
         return float(v.sum())
-    if p <= 0:
-        raise ValueError("p must be positive")
     if p == 2:
         return float(np.sqrt(np.dot(v, v)))
     return float((v ** p).sum() ** (1.0 / p))
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer >= n, scipy's fast length for real FFTs."""
+    best = 1 << (n - 1).bit_length()    # the power of 2 is always a candidate
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2^j >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fft_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Full linear convolution of two real arrays through real FFTs.
 
-    The same transform sizes and steps as ``scipy.signal.fftconvolve`` (so the
-    same bits), without importing ``scipy.signal``.
+    The same transform sizes and steps as ``scipy.signal.fftconvolve``, and
+    the same bits (pinned in the tests), on ``numpy.fft``.
     """
     n = len(a) + len(k) - 1
-    size = next_fast_len(n, True)
+    size = next_fast_len(n)
     return irfft(rfft(a, size) * rfft(k, size), size)[:n]
 
 
@@ -194,19 +204,19 @@ def scale_kernel(k: Kernel, c: float) -> Kernel:
 
 @functools.lru_cache(maxsize=1)
 def _kernel_spectra(k: Kernel, n: int):
-    """``rfft`` of the window [-2N, 2N] and of its reverse, at the size that
-    ``fft_convolve`` pads a (2N+1)-entry input against it to.
+    """``rfft`` of the window [-2N, 2N] at L = ``next_fast_len(4N+1)``.
 
-    One slot: the power iteration alternates forward and adjoint matvecs on a
-    single operator, and an operator kept alive after its run holds neither
-    the spectra nor its window.
+    A (2N+1)-entry input convolved circularly with it at length L gives the
+    linear convolution's outputs 2N..4N, the ones P_N keeps, without
+    aliasing exactly when L >= 4N+1.  One slot: the power iteration
+    alternates forward and adjoint matvecs on a single operator, and an
+    operator kept alive after its run holds neither the spectrum nor its
+    window.
     """
-    kw = k.window_range(-2 * n, 2 * n)
-    size = next_fast_len(6 * n + 1, True)
-    fwd, rev = rfft(kw, size), rfft(kw[::-1], size)
-    fwd.setflags(write=False)
-    rev.setflags(write=False)
-    return size, fwd, rev
+    size = next_fast_len(4 * n + 1)
+    spectrum = rfft(k.window_range(-2 * n, 2 * n), size)
+    spectrum.setflags(write=False)
+    return size, spectrum
 
 
 @dataclass
@@ -216,9 +226,10 @@ class ConvOperator:
     P_N is an l^p contraction, so norms of truncations are certified lower
     bounds for the full operator norm and are monotone in N.  Small operators
     (2N+1 <= 512) convolve directly against the kernel window [-2N, 2N],
-    materialized once per operator; larger ones multiply by the window's
-    cached spectrum, two FFTs per matvec, with the same bits as
-    ``fft_convolve``.
+    materialized once per operator.  Larger ones convolve circularly with
+    the window's cached spectrum, two FFTs of length about 4N per matvec;
+    the adjoint is T' = R T R, with R the reversal of [-N, N], on the same
+    spectrum.
     """
 
     kernel: Kernel
@@ -243,14 +254,15 @@ class ConvOperator:
         if np.ndim(v) != 1 or len(v) != self.size:
             raise ValueError(f"v must be 1-d of length 2N+1 = {self.size}, "
                              f"got shape {np.shape(v)}")
-        # full convolution index t <-> output n = t - 3N
+        # convolution index t <-> output n = t - 3N
         n = self.window_radius
         if self.size > _FFT_THRESHOLD:
-            size, fwd, rev = _kernel_spectra(self.kernel, n)
-            full = irfft(rfft(v, size) * (rev if adjoint else fwd), size)
-        else:
-            kw = self._window()
-            full = _convolve_dense_direct(v, kw[::-1] if adjoint else kw)
+            size, spectrum = _kernel_spectra(self.kernel, n)
+            w = v[::-1] if adjoint else v              # T' = R T R
+            out = irfft(rfft(w, size) * spectrum, size)[2 * n: 4 * n + 1]
+            return out[::-1] if adjoint else out
+        kw = self._window()
+        full = _convolve_dense_direct(v, kw[::-1] if adjoint else kw)
         return full[2 * n: 4 * n + 1]
 
     def apply_dense(self, v: np.ndarray) -> np.ndarray:
@@ -271,33 +283,3 @@ class ConvOperator:
         n = self.window_radius
         idx = np.arange(-n, n + 1)
         return kw[(idx[:, None] - idx[None, :]) + 2 * n]
-
-
-# -- sequence I/O --------------------------------------------------------------
-
-def seq_to_csv(a: Seq) -> str:
-    buf = io.StringIO()
-    buf.write("n,value\n")
-    for i, v in enumerate(a.values):
-        buf.write(f"{a.offset + i},{float(v)!r}\n")
-    return buf.getvalue()
-
-
-def seq_from_csv(text: str) -> Seq:
-    entries = {}
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    if lines and lines[0].lower().startswith("n,"):
-        lines = lines[1:]
-    for ln in lines:
-        n_str, v_str = ln.split(",")
-        entries[int(n_str)] = float(v_str)
-    return Seq.from_dict(entries)
-
-
-def seq_to_json(a: Seq) -> str:
-    return json.dumps({"offset": a.offset, "values": list(a.values)})
-
-
-def seq_from_json(text: str) -> Seq:
-    obj = json.loads(text)
-    return Seq(obj["offset"], np.asarray(obj["values"], dtype=float))

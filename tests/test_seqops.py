@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtlab import kernels as K
+from dhtlab import seqops
 from dhtlab.numerics import Exponent
 from dhtlab.seqops import (ConvOperator, Seq, adjoint_kernel, convolve,
-                           fft_convolve, lp_norm, scale_kernel, seq_from_csv,
-                           seq_from_json, seq_to_csv, seq_to_json,
+                           fft_convolve, lp_norm, scale_kernel,
                            _convolve_dense_direct)
 
 # frozen direct-summation value: sqrt(2 sum_{n=1..64} (pi n)^-2)
@@ -28,6 +28,13 @@ def test_lp_norm_examples():
     assert lp_norm(a, Exponent(2.0)) == pytest.approx(
         math.sqrt(sum(1.0 / (math.pi * n) ** 2 for n in range(1, 11))), abs=1e-14)
     assert lp_norm(a, math.inf) == pytest.approx(1.0 / math.pi, abs=1e-15)
+
+
+@pytest.mark.parametrize("p", [0.5, float("nan"), 0.0, -1.0])
+def test_lp_norm_rejects_exponents_below_one(p):
+    for a in (Seq(0, np.array([1.0, -2.0, 3.0])), Seq(0, np.zeros(0))):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            lp_norm(a, p)
 
 
 def test_seq_semantics():
@@ -161,22 +168,37 @@ def test_conv_operator_rejects_bad_shape(n, method):
 
 def test_conv_operator_spectra_do_not_leak_between_operators():
     # the FFT path keeps one kernel spectrum at a time; alternating
-    # operators, sizes and directions must never reuse another's entry
+    # operators, sizes and directions must give each operator's own bits,
+    # as computed alone from an empty cache
     ops = [ConvOperator(K.HILBERT, 256), ConvOperator(K.J, 1024),
            ConvOperator(adjoint_kernel(K.J), 256),
            ConvOperator(scale_kernel(K.HILBERT, 2.0), 256)]
     rng = np.random.default_rng(5)
+    calls = [(op, adjoint, rng.standard_normal(op.size))
+             for _ in range(3) for op in ops for adjoint in (False, True, False)]
+
+    def run(op, adjoint, v):
+        return op.apply_adjoint_dense(v) if adjoint else op.apply_dense(v)
+
+    alone = []
+    for call in calls:
+        seqops._kernel_spectra.cache_clear()
+        alone.append(run(*call))
+    for call, ref in zip(calls, alone):
+        assert np.array_equal(run(*call), ref)
+
+
+@pytest.mark.parametrize("name", ["H", "J", "E", "RT"])   # odd, odd, even, none
+@pytest.mark.parametrize("n", [256, 257, 1024])
+def test_conv_operator_fft_path_matches_dense_matrix(name, n):
+    op = ConvOperator(K.KERNELS[name], n)
+    m = op.matrix()
+    rng = np.random.default_rng(n)
     for _ in range(3):
-        for op in ops:
-            n = op.window_radius
-            kw = op.kernel.window_range(-2 * n, 2 * n)
-            for adjoint in (False, True, False):
-                v = rng.standard_normal(2 * n + 1)
-                if adjoint:
-                    got, ref = op.apply_adjoint_dense(v), fft_convolve(v, kw[::-1])
-                else:
-                    got, ref = op.apply_dense(v), fft_convolve(v, kw)
-                assert np.array_equal(got, ref[2 * n: 4 * n + 1])
+        v = rng.standard_normal(op.size)
+        for got, ref in ((op.apply_dense(v), m @ v),
+                         (op.apply_adjoint_dense(v), m.T @ v)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_conv_operator_direct_path_below_threshold():
@@ -193,22 +215,19 @@ def test_scale_kernel():
     assert k.value(3) == 2.0 * K.hilbert_kernel(3)
 
 
-def test_seq_io_roundtrip():
-    a = Seq.from_dict({-2: 1.5, 0: -0.25, 4: 3.0})
-    b = seq_from_csv(seq_to_csv(a))
-    assert b.offset == a.trimmed().offset
-    assert np.array_equal(b.values, a.trimmed().values)
-    c = seq_from_json(seq_to_json(a))
-    assert c.offset == a.offset and np.array_equal(c.values, a.values)
-
-
 @pytest.mark.parametrize("na,nk", [(1, 1), (2, 7), (513, 1025), (1000, 1000),
-                                   (4097, 16385), (600, 33000)])
+                                   (4097, 16385), (600, 33000), (8321, 16641)])
 def test_fft_convolve_matches_scipy_signal_bitwise(na, nk):
     from scipy.signal import fftconvolve
     rng = np.random.default_rng(na + nk)
     a, k = rng.standard_normal(na), rng.standard_normal(nk)
     assert np.array_equal(fft_convolve(a, k), fftconvolve(a, k))
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert all(seqops.next_fast_len(n) == next_fast_len(n, True)
+               for n in range(1, 100_001))
 
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -232,13 +251,17 @@ def test_package_does_not_import_scipy_signal():
 
 def test_kernel_dumps_do_not_import_scipy():
     # H, J and F dumps, from the table (radius < 32) and the series (past the
-    # cache radius), load numpy only; scipy is left to FFTs and E_0
+    # cache radius), and norms (FFT path), weaktype and mc runs load numpy
+    # only; scipy is left to E_0
+    runs = [["kernels", "--kernel", k, "--radius", r]
+            for k in ("H", "J", "F") for r in ("10", "5000")]
+    runs += [["norms", "--kernel", "H", "--p", "4", "--radii", "300"],
+             ["weaktype", "--budget", "3"], ["mc", "--paths", "50"]]
     code = ("import io, sys, contextlib\n"
             "from dhtlab.cli import main\n"
-            "for k in ('H', 'J', 'F'):\n"
-            "    for r in ('10', '5000'):\n"
-            "        with contextlib.redirect_stdout(io.StringIO()):\n"
-            "            assert main(['kernels', '--kernel', k, '--radius', r]) == 0\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert _run_fresh(code).strip() == "[]"
 
