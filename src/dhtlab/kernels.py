@@ -298,13 +298,13 @@ class Kernel:
         hi = min(hi, self.cache_radius)
         if lo > hi:
             return
-        idx = np.arange(lo, hi + 1) + self.cache_radius
-        missing = np.isnan(self._vals[idx])
+        c = self.cache_radius
+        missing = np.isnan(self._vals[lo + c: hi + 1 + c])
         if missing.any():
-            ns = np.arange(lo, hi + 1)[missing]
+            ns = np.flatnonzero(missing) + lo
             vals, errs = self.evaluate(ns)
-            self._vals[idx[missing]] = vals
-            self._errs[idx[missing]] = errs
+            self._vals[ns + c] = vals
+            self._errs[ns + c] = errs
 
     def value(self, n: int) -> float:
         n = int(n)

@@ -147,12 +147,29 @@ def fft_convolve(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 def _convolve_dense_direct(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Full convolution, summing over the entries of ``a`` in ascending index
-    order (fixed order => bit-reproducible)."""
+    order (fixed order => bit-reproducible).
+
+    The product |a_j| k is formed once per run of equal |a_j| among the
+    nonzero entries and subtracted where a_j < 0: (-c) k == -(c k) and
+    x + (-y) == x - y exactly, so the bits are those of adding a_j k for
+    each j, while a +-c pattern costs one multiply in all.
+    """
     out = np.zeros(len(a) + len(k) - 1)
-    for j in range(len(a)):
-        aj = a[j]
-        if aj != 0.0:
-            out[j: j + len(k)] += aj * k
+    nz = np.flatnonzero(a)
+    vals = a[nz]
+    mag = np.abs(vals)
+    fresh = np.empty(len(nz), dtype=bool)
+    fresh[:1] = True
+    fresh[1:] = mag[1:] != mag[:-1]
+    m = len(k)
+    for j, c, new, neg in zip(nz.tolist(), mag.tolist(), fresh.tolist(),
+                              (vals < 0.0).tolist()):
+        if new:
+            prod = c * k
+        if neg:
+            out[j: j + m] -= prod
+        else:
+            out[j: j + m] += prod
     return out
 
 

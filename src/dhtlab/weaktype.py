@@ -75,8 +75,17 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     optimal lambda, i.e. when outside entries could change the count.  The
     bound is the largest |k| at distances +-edge and +-(edge + 1) from the
     support, so a kernel that vanishes on one parity (KAK) is still bounded.
-    The support must lie strictly inside the window (edge >= 1).
+    The support must lie strictly inside the window (edge >= 1), and every
+    entry of ``a`` must be finite.
+
+    The lambda scan sorts the nonzero |Ta_n| in descending order once: at
+    the i-th of them the count of entries >= it is i + 1, and within a run
+    of equal values lambda * count peaks only at the run's last entry, so
+    the first maximum is the one a scan over distinct values picks (ties go
+    to the largest lambda), with the same products.
     """
+    if not np.all(np.isfinite(a.values)):
+        raise ValueError("sequence has non-finite entries (NaN or inf)")
     at = a.trimmed()
     if at.is_zero():
         raise ValueError("weak_ratio of the zero sequence")
@@ -93,11 +102,8 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     mag = mag[mag > 0.0]
     if len(mag) == 0:
         raise ValueError("transform vanishes identically on the window")
-    vals, counts = np.unique(mag, return_counts=True)
-    vals = vals[::-1]                       # descending
-    cum = np.cumsum(counts[::-1])           # count of entries >= vals[i]
-    lambdas = vals * (1.0 - _LAMBDA_NUDGE)
-    ratios = lambdas * cum
+    lambdas = np.sort(mag)[::-1] * (1.0 - _LAMBDA_NUDGE)  # descending
+    ratios = lambdas * np.arange(1.0, len(mag) + 1.0)     # count >= lambdas[i] is i + 1
     best = int(np.argmax(ratios))           # ties resolve to the largest lambda
 
     near = np.concatenate([k.window_range(-edge - 1, -edge),
@@ -110,7 +116,7 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
         sequence_id=sequence_id or f"seq@{at.offset}x{len(at.values)}",
         l1_norm=l1,
         best_lambda=float(lambdas[best] * l1),
-        count_at_lambda=int(cum[best]),
+        count_at_lambda=best + 1,
         ratio=float(ratios[best]),
         window_radius=window,
         tail_note=note,
@@ -122,7 +128,8 @@ def discretized_sequence(f, eps: float, z: float, window: int) -> Seq:
     """Sample a_n = f(eps (z + n)) on |n| <= window, trimmed.
 
     Boundary convention: whatever f returns at its support endpoints is kept
-    (an indicator of [0, 1] sampled at step 0.1 yields eleven ones).
+    (an indicator of [0, 1] sampled at step 0.1 yields eleven ones).  A
+    non-finite sample is rejected.
     """
     if not (0.0 <= z < 1.0):
         raise ValueError("z must lie in [0, 1)")
@@ -130,6 +137,9 @@ def discretized_sequence(f, eps: float, z: float, window: int) -> Seq:
         raise ValueError("eps must be positive")
     ns = np.arange(-window, window + 1)
     vals = np.array([float(f(eps * (z + n))) for n in ns])
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"f returned a non-finite sample at n = {int(ns[bad][0])}")
     return Seq(-window, vals).trimmed()
 
 
@@ -138,6 +148,12 @@ def smooth_bump(x: float) -> float:
     if abs(x) >= 1.0:
         return 0.0
     return math.exp(-1.0 / (1.0 - x * x))
+
+
+# block radii of the random_signs family; greedy_atoms moves atoms at
+# |pos| <= _GREEDY_RADIUS
+_SIGN_RADII = (2, 4, 8, 16, 32)
+_GREEDY_RADIUS = 16
 
 
 def _report_best(best: WeakTypeReport) -> WeakTypeReport:
@@ -158,18 +174,36 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
     Families: ``random_signs`` (sign patterns on nested blocks),
     ``greedy_atoms`` (hill-climbing on integer atoms, seeded at the unit
     atom), ``discretized_bumps`` (samples of a smooth bump at shrinking
-    mesh).  Deterministic given the seed; returns the largest ratio found
-    and never claims an upper bound.
+    mesh, from eps = 1/2 while 1/eps <= window / 4; a window below 8 fits
+    none and is rejected).  Deterministic given the seed; returns the
+    largest ratio found and never claims an upper bound.
+
+    The kernel is evaluated once per search: every candidate's window and
+    tail reads lie in [-window - s, window + s] for the family's largest
+    support radius s, so a search-local copy of ``k``, cached that far and
+    filled up front, serves each ``weak_ratio`` from its cache.  An entry's
+    bits do not depend on the range that asked for it, so the reports are
+    those of ``k`` itself.
     """
     if budget < 1:
         raise ValueError("budget >= 1 required")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    # the largest support radius of the family's candidates (a bump's
+    # nonzero samples have |n| < 1/eps <= window / 4)
+    support = {"random_signs": max(_SIGN_RADII), "greedy_atoms": _GREEDY_RADIUS,
+               "discretized_bumps": window // 4}.get(family)
+    if support is None:
+        raise ValueError(f"unknown family {family!r}")
+    k = Kernel(k.name, k.evaluate, parity=k.parity,
+               tail_exponent=k.tail_exponent, cache_radius=window + support + 1)
+    k.window(k.cache_radius)                # the one evaluation
 
     if family == "random_signs":
         rng = np.random.default_rng(seed)
-        radii = (2, 4, 8, 16, 32)
         best = None
         for i in range(budget):
-            r = radii[i % len(radii)]
+            r = _SIGN_RADII[i % len(_SIGN_RADII)]
             signs = rng.choice([-1.0, 1.0], size=2 * r + 1)
             rep = weak_ratio(k, Seq(-r, signs), window,
                              sequence_id=f"random_signs[{i}]r={r}")
@@ -183,12 +217,11 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
                           sequence_id="greedy[start]")
         spent = 1
         step = 0
-        radius = 16
         while spent < budget:
             step += 1
             round_best = None
             round_move = None
-            for pos in range(-radius, radius + 1):
+            for pos in range(-_GREEDY_RADIUS, _GREEDY_RADIUS + 1):
                 for s in (1.0, -1.0):
                     if spent >= budget:
                         break
@@ -208,16 +241,19 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
                 break
         return _report_best(best)
 
-    if family == "discretized_bumps":
-        best = None
-        for i in range(budget):
-            eps = 0.5 / 2 ** i
-            if 1.0 / eps > window / 4:
-                break
-            a = discretized_sequence(smooth_bump, eps, 0.0, window // 2)
-            rep = weak_ratio(k, a, window, sequence_id=f"bump[eps=1/{2**(i+1)}]")
-            if best is None or rep.ratio > best.ratio:
-                best = rep
-        return _report_best(best)
-
-    raise ValueError(f"unknown family {family!r}")
+    # discretized_bumps
+    best = None
+    for i in range(budget):
+        eps = 0.5 / 2 ** i
+        if 1.0 / eps > window / 4:
+            break
+        # smooth_bump vanishes from |eps n| = 1 on, i.e. from |n| = 2^(i+1)
+        a = discretized_sequence(smooth_bump, eps, 0.0,
+                                 min(window // 2, 2 ** (i + 1)))
+        rep = weak_ratio(k, a, window, sequence_id=f"bump[eps=1/{2**(i+1)}]")
+        if best is None or rep.ratio > best.ratio:
+            best = rep
+    if best is None:
+        raise ValueError(f"no bump fits window {window}: discretized_bumps "
+                         f"needs window >= 8")
+    return _report_best(best)

@@ -154,6 +154,7 @@ def test_mc_bad_input_usage_error(capsys, argv):
     ["weaktype", "--budget", "0"],
     ["weaktype", "--window", "0"],
     ["weaktype", "--window", "10"],               # support reaches the edge
+    ["weaktype", "--family", "discretized_bumps", "--window", "7"],  # no bump fits
 ])
 def test_bad_input_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -120,6 +120,24 @@ def test_window_beyond_cache_consistent():
     assert w[1] == pytest.approx(1.0 / (math.pi * r), rel=1e-15)
 
 
+def test_partly_filled_cache_read_bitwise():
+    calls = []
+
+    def batch(ns):
+        calls.append(ns.copy())
+        return K.J.evaluate(ns)
+
+    k = K.Kernel("J", batch, parity="odd", tail_exponent=1.0, cache_radius=64)
+    k.window_range(-10, 10)
+    got = k.window_range(-20, 20)
+    vals, errs = K.J.evaluate(np.arange(-20, 21))
+    assert got.tobytes() == vals.tobytes()
+    assert k.error_window(20).tobytes() == errs.tobytes()
+    # the second read evaluates only the 20 entries the first left missing
+    assert np.array_equal(calls[1], np.r_[-20:-10, 11:21])
+    assert len(calls) == 2
+
+
 def test_parity_flags():
     assert K.J.parity == "odd" and K.E.parity == "even"
     assert K.RT.parity == "none"

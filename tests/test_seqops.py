@@ -283,3 +283,38 @@ def test_no_module_uses_another_modules_private_names():
                            and node.value.id in ("self", "cls"))):
                 found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def _direct_reference(a, k):
+    """The product-per-entry loop: a_j k added for each nonzero a_j in
+    ascending j."""
+    out = np.zeros(len(a) + len(k) - 1)
+    for j in range(len(a)):
+        aj = a[j]
+        if aj != 0.0:
+            out[j: j + len(k)] += aj * k
+    return out
+
+
+def _direct_cases():
+    rng = np.random.default_rng(17)
+    c = 1.0 / 65.0
+    return {
+        "signs": rng.choice([-c, c], size=65),
+        "integer_multiples": rng.integers(-3, 4, size=40) / 37.0,
+        "interleaved_zeros": np.where(np.arange(33) % 3 == 1, 0.0,
+                                      rng.choice([-0.25, 0.25], size=33)),
+        "negative_zeros": np.array([-0.0, 0.5, -0.0, -0.5, -0.5, 0.0, 0.5, -0.0]),
+        "runs": np.array([1.0, 1.0, -1.0, 2.0, -2.0, 2.0, 1.0, -1.0]),
+        "dense": rng.standard_normal(511),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_direct_cases()))
+def test_convolve_dense_direct_matches_per_entry_products_bitwise(case):
+    a = _direct_cases()[case]
+    rng = np.random.default_rng(3)
+    kernels = [rng.standard_normal(101), K.KAK.window(50),
+               np.array([0.0, -0.0, 1.5, -0.0, -2.25])]
+    for k in kernels:
+        assert _convolve_dense_direct(a, k).tobytes() == _direct_reference(a, k).tobytes()

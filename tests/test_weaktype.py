@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dhtlab import kernels as K
 from dhtlab import weaktype as W
 from dhtlab.numerics import catalan_beta2
-from dhtlab.seqops import Seq
+from dhtlab.seqops import Seq, convolve
 
 TWO_OVER_PI = 2.0 / math.pi
 
@@ -90,7 +90,6 @@ def test_lambda_scan_is_optimal(signs, window):
     # brute-force grid of intermediate lambdas can never beat the scan
     a = Seq(0, np.array(signs))
     rep = W.weak_ratio(K.HILBERT, a, window)
-    from dhtlab.seqops import convolve
     out = convolve(K.HILBERT, Seq(0, np.array(signs) / np.sum(np.abs(signs))),
                    window)
     mag = np.sort(np.abs(out.values))
@@ -164,3 +163,112 @@ def test_search_rejects_bad_family():
         W.search_weak_constant(K.HILBERT, "nope", 5)
     with pytest.raises(ValueError):
         W.search_weak_constant(K.HILBERT, "random_signs", 0)
+    for family in ("random_signs", "discretized_bumps"):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            W.search_weak_constant(K.HILBERT, family, 5, window=-100)
+
+
+def test_search_bumps_rejects_window_without_a_bump():
+    # the first bump (eps = 1/2) needs 1/eps = 2 <= window / 4
+    with pytest.raises(ValueError, match="no bump fits window 7"):
+        W.search_weak_constant(K.HILBERT, "discretized_bumps", 5, window=7)
+    rep = W.search_weak_constant(K.HILBERT, "discretized_bumps", 5, window=8)
+    assert rep.sequence_id == "bump[eps=1/2]"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_weak_ratio_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        W.weak_ratio(K.HILBERT, Seq(0, [1.0, bad]), 100)
+
+
+def test_discretized_sequence_rejects_nan_samples():
+    f = lambda t: math.nan if t == 0.5 else 1.0
+    with pytest.raises(ValueError, match="non-finite sample at n = 5"):
+        W.discretized_sequence(f, 0.1, 0.0, 10)
+    with pytest.raises(ValueError, match="non-finite"):
+        W.discretized_sequence(lambda t: math.inf, 0.1, 0.0, 10)
+
+
+# Reports of the searches as computed before the kernel was read once per
+# search and lambda scanned by one sort: (kernel, family, budget, seed,
+# ratio, best_lambda, count_at_lambda, window_limited, sequence_id), at the
+# default window 16384.  Never regenerate these.
+GOLDEN_REPORTS = [
+    ("H", "random_signs", 100, 0, "0x1.023d2f12180bep-1", "0x1.658fcb055c5f3p-3",
+     26, False, "random_signs[31]r=4"),
+    ("H", "random_signs", 100, 7, "0x1.54413fa007c58p-1", "0x1.e61411c00b1a3p-3",
+     14, False, "random_signs[0]r=2"),
+    ("H", "greedy_atoms", 20, 0, "0x1.b48a0dc2e20d4p-1", "0x1.5d3b3e3581a43p-4",
+     20, False, "greedy[1]@-15-1"),
+    ("H", "discretized_bumps", 10, 0, "0x1.6becb80455710p-1", "0x1.45bd4a8c2f414p-3",
+     4, False, "bump[eps=1/2]"),
+    ("J", "random_signs", 4, 0, "0x1.c055d33733581p-2", "0x1.1835a40280171p+0",
+     2, False, "random_signs[0]r=2"),
+    ("K", "random_signs", 20, 3, "0x1.5bade52f94686p-1", "0x1.b2995e7b79828p-1",
+     4, False, "random_signs[5]r=2"),
+    ("RT", "greedy_atoms", 12, 0, "0x1.45f306dc9b21dp+0", "0x1.45f306dc9b21dp-1",
+     2, False, "greedy[start]"),
+]
+
+
+@pytest.mark.parametrize("row", GOLDEN_REPORTS, ids=lambda r: f"{r[0]}-{r[1]}-{r[3]}")
+def test_search_reports_golden(row):
+    kernel, family, budget, seed, ratio, lam, count, limited, seq_id = row
+    rep = W.search_weak_constant(K.KERNELS[kernel], family, budget, seed=seed)
+    assert (rep.ratio.hex(), rep.best_lambda.hex(), rep.count_at_lambda,
+            rep.window_limited, rep.sequence_id) == (ratio, lam, count, limited, seq_id)
+
+
+def _unique_scan(out_values):
+    """The lambda scan over distinct |Ta_n| with np.unique: (lambda, count,
+    ratio) at the first maximum."""
+    mag = np.abs(out_values)
+    mag = mag[mag > 0.0]
+    vals, counts = np.unique(mag, return_counts=True)
+    cum = np.cumsum(counts[::-1])
+    lambdas = vals[::-1] * (1.0 - W._LAMBDA_NUDGE)
+    ratios = lambdas * cum
+    best = int(np.argmax(ratios))
+    return lambdas[best], int(cum[best]), ratios[best]
+
+
+@pytest.mark.parametrize("kernel,entries", [
+    ("H", {-3: 1.0, 3: 1.0}),                         # symmetric: |Ta| paired
+    ("H", {-2: 1.0, -1: 2.0, 0: 3.0, 1: 2.0, 2: 1.0}),
+    ("H", {-1: 1.0, 0: -1.0, 1: 1.0}),
+    ("H", {0: 1.0}),
+    ("K", {-2: 1.0, 0: 1.0, 2: 1.0}),                 # KAK: zeros and ties
+    ("J", {-4: 1.0, 4: 1.0}),
+])
+def test_sort_scan_matches_unique_scan(kernel, entries):
+    k = K.KERNELS[kernel]
+    a = Seq.from_dict(entries)
+    window = 300
+    rep = W.weak_ratio(k, a, window)
+    l1 = float(np.sum(np.abs(a.values)))
+    out = convolve(k, Seq(a.offset, a.values / l1), window)
+    mag = np.abs(out.values)
+    assert len(np.unique(mag[mag > 0])) < np.count_nonzero(mag)   # ties exist
+    lam, count, ratio = _unique_scan(out.values)
+    assert rep.ratio.hex() == float(ratio).hex()
+    assert rep.best_lambda.hex() == float(lam * l1).hex()
+    assert rep.count_at_lambda == count
+
+
+def test_search_evaluates_kernel_once_per_run():
+    calls = []
+
+    def batch(ns):
+        calls.append(len(ns))
+        return K.HILBERT.evaluate(ns)
+
+    # a small cache radius: every candidate's window lies beyond it
+    k = K.Kernel("H", batch, parity="odd", tail_exponent=1.0, cache_radius=16)
+    for family, budget in (("random_signs", 12), ("greedy_atoms", 12),
+                           ("discretized_bumps", 6)):
+        calls.clear()
+        rep = W.search_weak_constant(k, family, budget, seed=1, window=2048)
+        assert len(calls) == 1, family
+        assert rep == W.search_weak_constant(K.HILBERT, family, budget, seed=1,
+                                             window=2048)
