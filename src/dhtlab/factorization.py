@@ -131,7 +131,7 @@ def verify_factorization(a: Seq, window: int, mass_tol: float = 1e-8,
 
     Compares the classic transform of ``a`` against K convolved with (J a) on
     |n| <= window/4.  The budget charges the missing K mass against the sup of
-    |J a| plus the per-entry quadrature estimates; the check passes iff the
+    |J a| plus the kernels' per-entry error bars; the check passes iff the
     residual stays below it.
     """
     quarter = window // 4
@@ -170,7 +170,7 @@ def j_decomposition_residual(n_max: int, window: int):
     """max_n |J_n - H_n - (H * E)_n| over |n| <= n_max, plus its budget.
 
     The convolution is truncated to |m| <= window; the budget combines the
-    m^-3 summand tail with the summed quadrature estimates of the kernels.
+    m^-3 summand tail with the summed error bars of the kernels.
     """
     e_vals = E.window(window)
     e_errs = E.error_window(window)

@@ -2,40 +2,34 @@
 
 Five transform kernels (classic, half-shifted, odd-only, symmetrised, and the
 conditional-expectation kernel J) plus the auxiliary kernels F and E that tie
-J back to the classic one.  J, F and E are quadrature-backed; everything else
-is a rational closed form.
+J back to the classic one.  J, F and E are integrals; everything else is a
+rational closed form.
 
 J, F and E are evaluated once per |n| and mirrored by parity, so K_-n equals
-+-K_n bit for bit, and each value comes with its error bar from the same
-evaluation.  Two evaluators share the work:
++-K_n bit for bit, and each value comes with its error bar.  Two sources
+share the work:
 
-* |n| < _N0: a table, filled once per process (lazily, on first use) from a
-  fixed composite Gauss-Kronrod grid in one fixed batch, each outer sum
-  taken exactly.  An entry's bits never depend on which window asked for
-  it.  Its bar is the grid's K15 - G7 discrepancy (outer rule, plus the
-  cumulative inner rule for E) plus 4 eps |v| for rounding: an estimate,
-  not a bound, checked against an mpmath oracle in the tests.
+* |n| < _N0: literals, each the double nearest the integral (printed by
+  ``scripts/make_kernel_literals.py`` from mpmath at 30 and 40 digits).  No
+  arithmetic follows, so the bar is half an ulp.
 * |n| >= _N0: a moment series in 1/a^2, a = pi |n|.  Expanding
   1/(t^2 + a^2) = sum_{k<K} (-t^2)^k / a^(2k+2) + (-t^2/a^2)^K / (t^2 + a^2)
   turns each integral into finitely many moments of a positive weight: the
   J/F moments m_k = 2^(-2k-1) (2k+3)! zeta(2k+3) in closed form, the E
-  moments M_k once on the grid.  Its bar is the moments' own errors, plus the
-  remainder M_K / a^(2K+2), which is a rigorous bound, plus 4 eps |v|.
+  moments M_k as correctly rounded literals.  Its bar is the moments' own
+  errors, plus the remainder M_K / a^(2K+2), plus 4 eps |v| for the rounding
+  of the evaluation: a bound.
 
-Importing this module loads no scipy: the zeta values are literals, and
-``scipy.special.shichi`` is imported only when E_0 is first evaluated.  A J,
-F or closed-form dump therefore never pays for the scipy import.
+No quadrature runs at import or evaluation time, and importing this module
+loads numpy only.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from functools import cached_property
 
 import numpy as np
-
-from dhtlab.numerics import csch_cu, csch_sq, gk15_panels
 
 __all__ = [
     "Kernel",
@@ -43,19 +37,13 @@ __all__ = [
     "KERNELS",
     "hilbert_kernel", "rt_kernel", "kak_kernel", "adp_kernel",
     "j_kernel", "f_kernel", "e_kernel",
-    "sinh_minus_shi", "e_tail_constant",
+    "e_tail_constant",
 ]
 
 _PI = math.pi
 _EPS = np.finfo(float).eps
 
-# Integration range for the exponentially decaying integrands; beyond Y_MAX
-# they are below 1e-19 of the total (the slowest, the moment M_K, peaks near
-# y = K + 1).
-_Y_MAX = 45.0
-_PANEL_WIDTH = 0.5
-
-# Table below _N0, series of _K terms from _N0 on.  At n = _N0 the series
+# Literals below _N0, series of _K terms from _N0 on.  At n = _N0 the series
 # remainder is below 1e-21 of |K_n|, far under one rounding.
 _N0 = 32
 _K = 8
@@ -68,113 +56,62 @@ _ZETA_ODD = (
     1.000030588236307, 1.0000076371976379, 1.0000019082127165,
 )
 
-
-def sinh_minus_shi(y):
-    """sinh(y) - integral_0^y sinh(t)/t dt, stable for all y >= 0.
-
-    Below y = 1 the direct difference cancels catastrophically, so a power
-    series is used; the terms are 2k y^(2k+1) / ((2k+1) (2k+1)!).  Above
-    y = 350 the quantity under its 2y/sinh^3 envelope is below 1e-290 and is
-    treated as zero by callers.
-    """
-    from scipy.special import shichi  # only E_0 needs it; keeps scipy off J/F dumps
-
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty_like(y)
-    small = y < 1.0
-    ys = y[small]
-    acc = np.zeros_like(ys)
-    term = ys.copy()
-    for k in range(1, 12):
-        term = term * ys * ys / ((2 * k) * (2 * k + 1))
-        acc += term * (2 * k) / (2 * k + 1)
-    out[small] = acc
-    yl = np.clip(y[~small], None, 700.0)
-    shi, _ = shichi(yl)
-    out[~small] = np.sinh(yl) - shi
-    return out
-
-
-class _ExpGrid:
-    """Fixed composite G7/K15 grid on (0, Y_MAX] with cumulative inner rule.
-
-    Outer nodes carry the exponentially decaying envelopes; the inner rule
-    integrates a function of t cumulatively between consecutive outer nodes,
-    which gives the inner antiderivative at every outer node in one
-    vectorized pass per row.
-    """
-
-    def __init__(self):
-        n_panels = int(round(_Y_MAX / _PANEL_WIDTH))
-        edges = np.linspace(0.0, _Y_MAX, n_panels + 1)
-        self.n_panels = n_panels
-        self.y, self.wk, self.wg = gk15_panels(edges[:-1], edges[1:])
-        # inner segments between consecutive outer nodes (first starts at 0)
-        seg_lo = np.concatenate([[0.0], self.y[:-1]])
-        self.t_flat, self.inner_wk, self.inner_wg = gk15_panels(seg_lo, self.y)
-        self.t_sinh_t = self.t_flat * np.sinh(self.t_flat)
-
-        # envelopes at the outer nodes
-        self.env_j = 2.0 * self.y ** 3 * csch_sq(self.y)       # for J and F
-        self.env_e = 2.0 * self.y * csch_cu(self.y)            # for E
-
-        self.n_nodes = len(self.y)
-
-    def _outer_sums(self, integrand_rows: np.ndarray):
-        """K15 value, and summed |K15 - G7| panel discrepancies, per row.
-
-        The value is summed exactly (``math.fsum``): a BLAS dot product over
-        the 1350 nodes rounds by several ulps, more than the discrepancy.
-        """
-        terms = integrand_rows * self.wk
-        vk = np.array([math.fsum(row) for row in terms])
-        shape = (len(integrand_rows), self.n_panels, 15)
-        pk = terms.reshape(shape).sum(axis=2)
-        pg = (integrand_rows * self.wg).reshape(shape).sum(axis=2)
-        return vk, np.abs(pk - pg).sum(axis=1)
-
-    def _nested(self, inner_rows: np.ndarray):
-        """integral_0^inf env_e(y) integral_0^y g(t) dt dy for each row of g
-        on the inner nodes, with error estimates."""
-        shape = (len(inner_rows), self.n_nodes, 15)
-        inc_k = (inner_rows * self.inner_wk).reshape(shape).sum(axis=2)
-        inc_g = (inner_rows * self.inner_wg).reshape(shape).sum(axis=2)
-        inner = np.cumsum(inc_k, axis=1)
-        inner_err = np.cumsum(np.abs(inc_k - inc_g), axis=1)
-        vk, err = self._outer_sums(self.env_e[None, :] * inner)
-        err_inner = (np.abs(self.env_e * self.wk)[None, :] * inner_err).sum(axis=1)
-        return vk, err + err_inner
-
-    def j_integral(self, ns: np.ndarray):
-        """integral_0^inf 2 y^3 / ((y^2 + pi^2 n^2) sinh^2 y) dy for each |n| >= 1."""
-        a2 = (_PI * ns.astype(float)) ** 2
-        rows = self.env_j[None, :] / (self.y[None, :] ** 2 + a2[:, None])
-        vk, err = self._outer_sums(rows)
-        return vk, err + 1e-30
-
-    def e_values(self, ns: np.ndarray):
-        """E_n for each n >= 1 (even in n), with error estimates."""
-        a2 = (_PI * ns.astype(float)) ** 2
-        vk, err = self._nested(self.t_sinh_t[None, :] / (self.t_flat[None, :] ** 2 + a2[:, None]))
-        return -vk, err
-
-    @cached_property
-    def bracket0(self) -> np.ndarray:
-        """sinh_minus_shi on the outer nodes, for E at n = 0 only."""
-        return sinh_minus_shi(self.y)
-
-    def e_zero(self):
-        vk, err = self._outer_sums((self.env_e * self.bracket0)[None, :])
-        return vk[0], err[0]
-
-    def e_moments(self, count: int):
-        """M_k = integral_0^inf 2y csch^3 y integral_0^y t^(2k+1) sinh t dt dy
-        for k < count, with error estimates."""
-        powers = self.t_flat[None, :] ** (2 * np.arange(count)[:, None])
-        return self._nested(powers * self.t_sinh_t[None, :])
+# J_n, F_n and E_n for 0 <= n < _N0, and M_k for k <= _K, each the double
+# nearest its integral.  Printed by scripts/make_kernel_literals.py, whose
+# --check compares this block with its own output.
+_J_SMALL = (
+    0.0, 0.40597362123696934, 0.17239927002243752, 0.11022197906893227,
+    0.08134799186034379, 0.06457677804283223, 0.05358373734618431,
+    0.045808958655374016, 0.04001436636542088, 0.03552645496948188,
+    0.03194679005748521, 0.02902433076785552, 0.026592926904985218,
+    0.02453817768632498, 0.022778711467977306, 0.021255053056270255,
+    0.019922714271846855, 0.018747748097143975, 0.01770379823190983,
+    0.016770087922283437, 0.015930016534147762, 0.015170159741091187,
+    0.014479544014079502, 0.013849111402721551, 0.01327131878603691,
+    0.012739833741789774, 0.012249300894779666, 0.01179516038940251,
+    0.011373505400988696, 0.010980969226198064, 0.010614635025744194,
+    0.010271963087142443,
+)
+_F_SMALL = (
+    0.0, 0.08766373505317866, 0.013244326930542184, 0.004118683674335385,
+    0.0017705203143961192, 0.0009148008060740963, 0.0005320896488858622,
+    0.00033611777197535173, 0.00022563059244704072, 0.0001586898379495837,
+    0.00011580143910614306, 8.706838751091454e-05, 6.71030563359956e-05,
+    5.280182603339168e-05, 4.2291026277974045e-05, 3.439397735087619e-05,
+    2.8346385359937072e-05, 2.3637145156289214e-05, 1.991566614368165e-05,
+    1.6936017873401342e-05, 1.4522224958230154e-05, 1.2546113291631474e-05,
+    1.0912823907198214e-05, 9.551133861088e-06, 8.406861712297797e-06,
+    7.43829443814844e-06, 6.612964633871624e-06, 5.90534555841032e-06,
+    5.295180139029514e-06, 4.76625434321311e-06, 4.305486284504925e-06,
+    3.902242504034837e-06,
+)
+_E_SMALL = (
+    0.29774140087413603, -0.08531230446170698, -0.024003775385826227,
+    -0.010975463027781818, -0.006240512774001264, -0.004014587053128929,
+    -0.002795875493352505, -0.002057688205432491, -0.0015772088895727144,
+    -0.00124716546859714, -0.0010107715428219082, -0.0008356963835611447,
+    -0.000702439979820946, -0.000598676776201351, -0.0005163074072710002,
+    -0.00044983246146736866, -0.00039541192281838597, -0.00035029881265781525,
+    -0.0003124861120437978, -0.0002804798951751345, -0.00025314963690126294,
+    -0.00022962709162286496, -0.00020923653528390673, -0.000191445728197001,
+    -0.0001758308526791882, -0.0001620510530911463, -0.00014982968664200625,
+    -0.00013894033721037157, -0.0001291962580294319, -0.0001204423152045301,
+    -0.0001125487773083331, -0.00010540648300947389,
+)
+_E_MOMENTS = (
+    1.0, 2.393829290521217, 16.768753156123246, 227.84259899421775,
+    5041.891952935906, 164602.97392770636, 7432600.245511816,
+    443414341.0877466, 33770286578.800266,
+)
 
 
-def _moment_series(ms: np.ndarray, mom: np.ndarray, mom_err: np.ndarray):
+def _half_ulp(vals):
+    """Half the spacing of doubles at each |v|: the bar of a correctly
+    rounded value (0 at the exact zeros J_0 = F_0 = 0)."""
+    return 0.5 * np.spacing(np.abs(vals))
+
+
+def _moment_series(ms: np.ndarray, mom, mom_err):
     """sum_{k<K} (-1)^k mom_k / a^(2k+2) for a = pi m, and its bar
     sum_{k<K} err_k / a^(2k+2) + mom_K / a^(2K+2).
 
@@ -191,72 +128,37 @@ def _moment_series(ms: np.ndarray, mom: np.ndarray, mom_err: np.ndarray):
     return u * val, u * bar
 
 
-class _Evaluators:
-    """The small-|n| tables and the large-|n| series moments of J/F and of E,
-    each built on first use (a J dump never builds E's)."""
-
-    @cached_property
-    def grid(self) -> _ExpGrid:
-        return _ExpGrid()
-
-    @cached_property
-    def f_table(self):
-        """integral_0^inf 2 y^3 / ((y^2 + pi^2 m^2) sinh^2 y) dy for 0 < m < N0."""
-        v, err = self.grid.j_integral(np.arange(1, _N0))
-        return np.concatenate([[math.nan], v]), np.concatenate([[math.nan], err])
-
-    @cached_property
-    def f_moments(self):
-        """m_k = integral_0^inf 2 y^(2k+3) csch^2 y dy = 2^(-2k-1) (2k+3)! zeta(2k+3)
-        for k <= K.  The factorials are exact in floating point, so the error
-        is the rounding of zeta and of one product (measured < 0.4 eps;
-        ``test_zeta_literals_and_moments`` in ``tests/test_kernels.py`` pins
-        both the literals and that bound)."""
-        k = range(_K + 1)
-        fact = np.array([math.ldexp(math.factorial(2 * i + 3), -2 * i - 1) for i in k])
-        m = fact * np.array(_ZETA_ODD)
-        return m, _EPS * m
-
-    @cached_property
-    def e_table(self):
-        """E_m for 0 <= m < N0."""
-        v, err = self.grid.e_values(np.arange(1, _N0))
-        e0, e0_err = self.grid.e_zero()
-        return np.concatenate([[e0], v]), np.concatenate([[e0_err], err])
-
-    @cached_property
-    def e_moments(self):
-        """M_k for k <= K, on the grid."""
-        return self.grid.e_moments(_K + 1)
-
-    def f_integral(self, ms: np.ndarray):
-        """The J/F integral for each m >= 1, with its bar (rounding not included)."""
-        return _table_or_series(ms, self.f_table, self.f_moments)
-
-    def e_values(self, ms: np.ndarray):
-        """E_m for each m >= 0, with its bar (rounding not included)."""
-        vals, errs = _table_or_series(ms, self.e_table, self.e_moments)
-        big = ms >= _N0
-        vals[big] = -vals[big]     # E_n = -sum_k (-1)^k M_k / a^(2k+2)
-        return vals, errs
+def _j_f_moments():
+    """m_k = integral_0^inf 2 y^(2k+3) csch^2 y dy = 2^(-2k-1) (2k+3)! zeta(2k+3)
+    for k <= K.  The factorials are exact in floating point, so the error
+    is the rounding of zeta and of one product (measured < 0.4 eps;
+    ``test_zeta_literals_and_moments`` in ``tests/test_kernels.py`` pins
+    both the literals and that bound)."""
+    k = range(_K + 1)
+    fact = np.array([math.ldexp(math.factorial(2 * i + 3), -2 * i - 1) for i in k])
+    m = fact * np.array(_ZETA_ODD)
+    return m, _EPS * m
 
 
-def _table_or_series(ms, table, moments):
+_J_F_MOMENTS = _j_f_moments()
+_E_MOMENT_BARS = _half_ulp(np.array(_E_MOMENTS))
+
+
+def _literal_or_series(ms, literals, series):
+    """literals[m] with its half-ulp bar for m < N0, series(ms) from N0 on."""
     vals = np.empty(len(ms))
     errs = np.empty(len(ms))
     small = ms < _N0
-    vals[small] = table[0][ms[small]]
-    errs[small] = table[1][ms[small]]
-    vals[~small], errs[~small] = _moment_series(ms[~small], *moments)
+    vals[small] = np.asarray(literals)[ms[small]]
+    errs[small] = _half_ulp(vals[small])
+    vals[~small], errs[~small] = series(ms[~small])
     return vals, errs
 
 
-_EVALUATORS = _Evaluators()
-
-
 class Kernel:
-    """A doubly-infinite kernel given by a closed-form (possibly quadrature
-    backed) generator, with parity and tail-decay metadata and a cached window.
+    """A doubly-infinite kernel given by a batch generator (a closed form, or
+    literals and a series), with parity and tail-decay metadata and a cached
+    window.
 
     The cache fill is idempotent (each entry recomputes to the same bits), so
     concurrent readers are safe.
@@ -334,7 +236,7 @@ class Kernel:
         return self.window_range(-radius, radius)
 
     def error_window(self, radius: int):
-        """Per-entry quadrature error estimates for n = -radius..radius."""
+        """Per-entry error bars for n = -radius..radius."""
         radius = int(radius)
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
@@ -383,14 +285,16 @@ def _j_f_batch(ns, with_hilbert_part):
     # each distinct |n| once, mirrored by parity
     ns = np.asarray(ns, dtype=np.int64)
     ms, inv = np.unique(np.abs(ns), return_inverse=True)
-    vals = np.zeros(len(ms))
-    errs = np.zeros(len(ms))
-    nz = ms != 0
-    integral, ierr = _EVALUATORS.f_integral(ms[nz])
-    if with_hilbert_part:
-        integral = integral + 1.0
-    vals[nz] = integral / (_PI * ms[nz])
-    errs[nz] = ierr / (_PI * ms[nz]) + _eps_err(vals[nz])
+
+    def series(big):
+        integral, ierr = _moment_series(big, *_J_F_MOMENTS)
+        if with_hilbert_part:
+            integral = integral + 1.0
+        vals = integral / (_PI * big)
+        return vals, ierr / (_PI * big) + _eps_err(vals)
+
+    literals = _J_SMALL if with_hilbert_part else _F_SMALL
+    vals, errs = _literal_or_series(ms, literals, series)
     return np.sign(ns) * vals[inv], errs[inv]
 
 
@@ -404,8 +308,14 @@ def _f_batch(ns):
 
 def _e_batch(ns):
     ms, inv = np.unique(np.abs(np.asarray(ns, dtype=np.int64)), return_inverse=True)
-    vals, errs = _EVALUATORS.e_values(ms)
-    return vals[inv], (errs + _eps_err(vals))[inv]
+
+    def series(big):
+        # E_n = -sum_k (-1)^k M_k / a^(2k+2)
+        vals, bar = _moment_series(big, _E_MOMENTS, _E_MOMENT_BARS)
+        return -vals, bar + _eps_err(vals)
+
+    vals, errs = _literal_or_series(ms, _E_SMALL, series)
+    return vals[inv], errs[inv]
 
 
 HILBERT = Kernel("H", _hilbert_batch, parity="odd", tail_exponent=1.0)
@@ -450,8 +360,10 @@ def j_kernel(n: int) -> float:
 def f_kernel(n: int) -> float:
     """(1/(pi n)) integral_0^inf 2 y^3 / ((y^2 + pi^2 n^2) sinh^2 y) dy; zero at 0.
 
-    Satisfies j_kernel(n) = hilbert_kernel(n) + f_kernel(n) by construction
-    (the two share the same quadrature).
+    Satisfies j_kernel(n) = hilbert_kernel(n) + f_kernel(n) within the three
+    entries' bars.  Below |n| = 32 J_n and F_n are separate correctly rounded
+    literals, not one quadrature, so the identity does not hold there by
+    construction; from there on both come from one series value.
     """
     return F.value(n)
 
@@ -463,9 +375,8 @@ def e_kernel(n: int) -> float:
 
     E_0 integrates 2y/sinh^3(y) (sinh y - int_0^y sinh(t)/t dt); E_n for
     n != 0 integrates -2y/sinh^3(y) int_0^y t sinh t/(t^2 + pi^2 n^2) dt.
-    Below |n| = 32 the value comes from the grid table, where the inner
-    integrals are accumulated on the shared grid rather than by naive
-    nesting; from there on from the moment series.
+    Below |n| = 32 the value is a correctly rounded literal; from there on
+    it comes from the moment series.
     """
     return E.value(n)
 
@@ -476,6 +387,6 @@ def e_tail_constant() -> float:
     Bounding t sinh t / (t^2 + pi^2 n^2) by t sinh t / (pi^2 n^2) in E_n
     leaves M_0 / (pi^2 n^2), and M_0 = integral_0^inf 2y (y cosh y - sinh y)
     / sinh^3 y dy = 1 exactly: the integrand is -d/dy [y^2 / sinh^2 y].
-    So c = 1/pi^2.
+    So c = 1/pi^2, and the M_0 literal of the E series is exactly 1.0.
     """
     return 1.0 / _PI ** 2

@@ -22,7 +22,6 @@ __all__ = [
     "burkholder_constant",
     "csch",
     "csch_sq",
-    "csch_cu",
     "coth",
     "gk15_panels",
     "gk_eval",
@@ -290,11 +289,6 @@ def csch(y):
 def csch_sq(y):
     c = csch(y)
     return c * c
-
-
-def csch_cu(y):
-    c = csch(y)
-    return c * c * c
 
 
 def coth(y):

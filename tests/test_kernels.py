@@ -1,11 +1,14 @@
+import importlib.util
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from dhtlab import kernels as K
-from dhtlab.numerics import csch_cu, integrate
-from dhtlab.kernels import sinh_minus_shi
+from dhtlab.numerics import integrate
 
 # frozen from two independent computations (fixed-grid batch vs adaptive
 # quadrature; the double-integral oracle in test_identities pins it again)
@@ -85,7 +88,7 @@ def test_e_kernel_nested_quadrature_oracle():
 
     def outer(ys):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return np.array([2 * y * float(csch_cu(y)) * inner(y) for y in ys])
+        return np.array([2 * y * float(np.sinh(y) ** -3) * inner(y) for y in ys])
 
     r = integrate(outer, 0.0, 40.0, 1e-9)
     assert K.e_kernel(n) == pytest.approx(-r.value, abs=1e-9)
@@ -150,18 +153,7 @@ def test_error_windows_are_small():
     assert float(np.max(K.E.error_window(16))) < 1e-12
 
 
-def test_sinh_minus_shi_series_matches_direct():
-    # series (y < 1) and shichi branch (y >= 1) must agree across the seam
-    lo = sinh_minus_shi(np.array([0.999]))[0]
-    hi = sinh_minus_shi(np.array([1.001]))[0]
-    assert lo == pytest.approx(hi, rel=1e-2)
-    y = np.array([0.5])
-    exact = math.sinh(0.5) - integrate(
-        lambda t: np.sinh(t) / t, 1e-300, 0.5, 1e-13).value
-    assert sinh_minus_shi(y)[0] == pytest.approx(exact, rel=1e-9)
-
-
-# -- table and moment series ----------------------------------------------------
+# -- literals and moment series ------------------------------------------------
 
 EPS = np.finfo(float).eps
 
@@ -199,9 +191,10 @@ def test_j_f_within_bar_of_mpmath_oracle(n):
 
 
 def test_whole_f_table_within_bar_of_mpmath_oracle():
-    # a BLAS dot product once rounded the table entry at n = 30 by 8 eps
+    # every F literal within half an ulp of the integral (a quadrature table
+    # once had entries 3 ulps off)
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(20):
+    with mp.workdps(30):
         for n in range(1, K._N0):
             true = _mp_f_integral(mp, n) / (mp.pi * n)
             assert abs(mp.mpf(K.f_kernel(n)) - true) <= _bar(K.F, n), n
@@ -215,32 +208,34 @@ def test_e_within_bar_of_mpmath_oracle(n):
         assert abs(mp.mpf(K.e_kernel(n)) - true) <= _bar(K.E, n)
 
 
-def test_grid_and_series_agree_on_overlap():
-    n0 = K._N0
-    ns = np.arange(n0, 4 * n0 + 1)
-    grid = K._ExpGrid()
-    integral, ierr = grid.j_integral(ns)
-    f_grid = integral / (math.pi * ns)
-    f_bar = ierr / (math.pi * ns) + 4 * EPS * np.abs(f_grid)
-    e_grid, e_bar = grid.e_values(ns)
-    e_bar = e_bar + 4 * EPS * np.abs(e_grid)
-    for kernel, v, bar in ((K.F, f_grid, f_bar), (K.E, e_grid, e_bar)):
-        series = kernel.window_range(n0, 4 * n0)
-        series_bar = kernel.error_window(4 * n0)[4 * n0 + n0:]
-        assert np.all(np.abs(series - v) <= series_bar + bar), kernel.name
+def test_literals_and_series_agree_at_the_seam():
+    # the last literal (n = N0 - 1) and the first series entry (n = N0) each
+    # lie within their own bars of the integral, on both sides of n = 0
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for n in (K._N0 - 1, K._N0):
+            integral = _mp_f_integral(mp, n)
+            for kernel, true in ((K.J, (1 + integral) / (mp.pi * n)),
+                                 (K.F, integral / (mp.pi * n)), (K.E, _mp_e(mp, n))):
+                sign = 1 if kernel.parity == "even" else -1
+                for m, s in ((n, 1), (-n, sign)):
+                    err = abs(mp.mpf(kernel.value(m)) - s * true)
+                    assert err <= _bar(kernel, m), (kernel.name, m)
 
 
 def test_series_moments():
-    big_m, big_m_err = K._EVALUATORS.e_moments
-    m, m_err = K._EVALUATORS.f_moments
-    # M_0 = 1: its integrand is -d/dy [y^2 / sinh^2 y]
-    assert abs(big_m[0] - 1.0) <= big_m_err[0] + 4 * EPS
+    big_m = K._E_MOMENTS
+    m, m_err = K._J_F_MOMENTS
+    # M_0 = 1 exactly: its integrand is -d/dy [y^2 / sinh^2 y]
+    assert big_m[0] == 1.0
     assert K.e_tail_constant() == 1.0 / math.pi ** 2
-    # closed-form J/F moments against the grid
-    g = K._ExpGrid()
-    for k in range(K._K + 1):
-        v, err = g._outer_sums((g.env_j * g.y ** (2 * k))[None, :])
-        assert abs(v[0] - m[k]) <= err[0] + m_err[k] + 4 * EPS * m[k]
+    # closed-form J/F moments against their defining integrals
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        for k in range(K._K + 1):
+            true = mp.quad(lambda y: 2 * y ** (2 * k + 3) / mp.sinh(y) ** 2,
+                           [0, 1, 5, 20, 60, mp.inf])
+            assert abs(mp.mpf(m[k]) - true) <= m_err[k]
     # at n0 the series remainder is below one rounding of the entry
     a2 = (math.pi * K._N0) ** 2
     assert m[K._K] / a2 ** (K._K + 1) <= EPS * abs(K.f_kernel(K._N0)) * math.pi * K._N0
@@ -270,7 +265,7 @@ def test_zeta_literals_and_moments():
     from scipy.special import zeta
     s = np.array([2.0 * k + 3.0 for k in range(K._K + 1)])
     assert np.array_equal(np.array(K._ZETA_ODD), zeta(s))
-    m, _ = K._EVALUATORS.f_moments
+    m, _ = K._J_F_MOMENTS
     with mp.workdps(40):
         for k, z in enumerate(K._ZETA_ODD):
             assert z == float(mp.zeta(2 * k + 3))
@@ -284,3 +279,38 @@ def test_windows_reject_negative_radius(kernel):
     for method in (kernel.window, kernel.error_window):
         with pytest.raises(ValueError, match="radius"):
             method(-3)
+
+
+# -- regeneration of the literals -------------------------------------------------
+
+GENERATOR = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                         "make_kernel_literals.py")
+
+
+def _generator():
+    pytest.importorskip("mpmath")
+    spec = importlib.util.spec_from_file_location("make_kernel_literals", GENERATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("table,index", [
+    ("_J_SMALL", 1), ("_J_SMALL", 7), ("_F_SMALL", 31), ("_E_SMALL", 0),
+    ("_E_SMALL", 1), ("_E_MOMENTS", 0), ("_E_MOMENTS", 8)])
+def test_literal_sample_regenerates(table, index):
+    # each sampled literal is the double nearest the generator's 30-digit value
+    gen = _generator()
+    fn = {"_J_SMALL": gen.j_value, "_F_SMALL": gen.f_value,
+          "_E_SMALL": gen.e_value, "_E_MOMENTS": gen.e_moment}[table]
+    with gen.mp.workdps(30):
+        assert float(fn(index)) == getattr(K, table)[index]
+
+
+@pytest.mark.heavy
+def test_literal_block_regenerates():
+    # every literal at 30 and 40 digits, compared with the block in kernels.py
+    _generator()
+    proc = subprocess.run([sys.executable, GENERATOR, "--check"],
+                          capture_output=True, text=True, timeout=1200)
+    assert proc.returncode == 0, proc.stderr

@@ -250,12 +250,14 @@ def test_package_does_not_import_scipy_signal():
 
 
 def test_kernel_dumps_do_not_import_scipy():
-    # H, J and F dumps, from the table (radius < 32) and the series (past the
-    # cache radius), and norms (FFT path), weaktype and mc runs load numpy
-    # only; scipy is left to E_0
+    # H, J, F and E dumps, from the literals (radius < 32) and the series
+    # (past the cache radius), factorize inside and past the cache radius,
+    # verify, and norms (FFT path), weaktype and mc runs load numpy only
     runs = [["kernels", "--kernel", k, "--radius", r]
-            for k in ("H", "J", "F") for r in ("10", "5000")]
-    runs += [["norms", "--kernel", "H", "--p", "4", "--radii", "300"],
+            for k in ("H", "J", "F", "E") for r in ("10", "5000")]
+    runs += [["factorize", "--window", w] for w in ("1024", "4160")]
+    runs += [["verify", "--suite", "section3"],
+             ["norms", "--kernel", "H", "--p", "4", "--radii", "300"],
              ["weaktype", "--budget", "3"], ["mc", "--paths", "50"]]
     code = ("import io, sys, contextlib\n"
             "from dhtlab.cli import main\n"
