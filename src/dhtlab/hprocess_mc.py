@@ -14,10 +14,13 @@ dt <= kill_eps^2/4 so the layer is resolved.
 
 Paths are simulated in fixed-size vectorized chunks with per-chunk derived
 random streams; identical (config, seed, paths) inputs give bit-identical
-results.  Each step makes one shared pass for h and grad log h, which
-occupation runs skip since they read neither; all of it is elementwise, so a
-path's bits do not depend on which other paths are still live.  Statistical
-acceptance is always "within 3 standard errors".
+results.  Each step makes one pass for 1/h and grad log h, in a single
+branch-free form that neither overflows nor cancels at any height, and feeds
+it straight into the functional; occupation runs skip it since they read
+neither.  All of it is elementwise, so a path's bits do not depend on which
+other paths are still live.  The path itself (drift, step, taming, draws,
+absorption) never reads h.  Statistical acceptance is always "within 3
+standard errors".
 """
 
 from __future__ import annotations
@@ -34,11 +37,9 @@ from dhtlab.seqops import Seq
 __all__ = [
     "SdeConfig",
     "PathStats",
-    "PathSample",
     "OccupationGrid",
     "OccupationReport",
     "drift_field",
-    "simulate_path",
     "estimate_T",
     "occupation_check",
     "expected_occupation",
@@ -91,14 +92,6 @@ class PathStats:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    value: float
-    absorbed: bool
-    lifetime: float
-    end: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class OccupationGrid:
     x_min: float
     x_max: float
@@ -139,49 +132,48 @@ def drift_field(cfg: SdeConfig, x, y):
     return -2.0 * xt / r2, 1.0 / y - 2.0 * y / r2
 
 
-def _h_branch(x, y, low: bool):
-    """(h, d/dx log h, d/dy log h) on one side of the y = 1 switch: exact
-    hyperbolics below it, the exp(-y) form above it (no overflow)."""
-    if low:
-        s = np.sinh(y)
-        denom = 2.0 * (np.sinh(y / 2.0) ** 2 + np.sin(x / 2.0) ** 2)
-        return s / (_TWO_PI * denom), -np.sin(x) / denom, np.cosh(y) / s - s / denom
-    t = np.exp(-y)
-    tt = t * t
-    plus, minus = 1.0 + tt, 1.0 - tt
-    denom = plus - 2.0 * t * np.cos(x)
-    return (minus / (_TWO_PI * denom), -2.0 * t * np.sin(x) / denom,
-            plus / minus - minus / denom)
-
-
 def _h_fields(x, y):
-    """h = sinh y / (2 pi (cosh y - cos x)) and grad log h, stable at all heights.
+    """(1/h, d/dx log h, d/dy log h) for h = sinh y / (2 pi (cosh y - cos x)).
 
-    Every operation is elementwise, so a point's bits do not depend on the
-    other points of the batch or on which branch those take.
+    One elementwise form at every height.  With t = exp(-y), e1 = expm1(-y)
+    = t - 1 and s, c = sin(x/2), cos(x/2), the cosh-type denominator
+    denom = 1 + t^2 - 2t cos x is e1^2 + 4t s^2, 1 - t^2 is -e1 (2 + e1), and
+
+        1/h = 2 pi denom / (1 - t^2),   d/dx log h = -4t s c / denom,
+        d/dy log h = 2t^2/(1 - t^2) + 2t (e1 + 2 s^2) / denom.
+
+    Nothing overflows, and t - cos x enters as e1 + 2 s^2, so d/dy log h
+    keeps its relative accuracy as y grows (it is about -2t cos x there).
+    A point's bits do not depend on the other points of the batch.
     """
-    lo = y <= 1.0
-    n_lo = np.count_nonzero(lo)
-    if n_lo == 0 or n_lo == len(y):
-        return _h_branch(x, y, n_lo > 0)
-    out = np.empty((3, len(y)))
-    for mask, low in ((lo, True), (~lo, False)):
-        out[:, mask] = _h_branch(x[mask], y[mask], low)
-    return out
+    ny = -y
+    t = np.exp(ny)
+    e1 = np.expm1(ny)
+    hx = 0.5 * x
+    s = np.sin(hx)
+    ss = s * s
+    t2 = 2.0 * t
+    denom = e1 * e1 + 2.0 * t2 * ss
+    minus = -e1 * (2.0 + e1)
+    return (_TWO_PI * denom / minus, -2.0 * t2 * s * np.cos(hx) / denom,
+            t2 * t / minus + t2 * (e1 + 2.0 * ss) / denom)
 
 
-def _functional_rows(x, y, h, glx, gly, dx, dy, shifts):
-    """F_m = H grad(p_m / h) . d for every support site m, where ``shifts``
-    holds 2 pi m: one row per site, or a flat row for a single site."""
+def _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts):
+    """F_m = H grad(p_m / h) . (b - grad log h) for every support site m,
+    where ``shifts`` holds 2 pi m: one row per site, or a flat row for a
+    single site.  With x_m = x - 2 pi m, r^2 = x_m^2 + y^2, d = b - grad log h
+    and q = (1/h)/(pi r^2), so that p_m / h = y q,
+    F_m = (q/r^2)(-2 x_m y d_y - (x_m^2 - y^2) d_x) - y q (glx b_y - gly b_x)."""
+    dx = bx - glx
+    ydy = -2.0 * y * (by - gly)                  # -2 y d_y
+    rot = y * (glx * by - gly * bx)
+    yy = y * y
     xm = x - shifts
-    xx, yy = xm * xm, y * y
+    xx = xm * xm
     r2 = xx + yy
-    pir2 = math.pi * r2
-    pr = pir2 * r2
-    um = y / pir2 / h                              # p_m / h
-    ux = -2.0 * xm * y / pr / h - um * glx
-    uy = (xx - yy) / pr / h - um * gly
-    return ux * dy - uy * dx
+    q = h_inv / (math.pi * r2)
+    return q * ((xm * ydy - (xx - yy) * dx) / r2 - rot)
 
 
 def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
@@ -246,8 +238,8 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
             dtk = np.minimum(np.maximum(cfg.step_scale * y * y, cfg.dt), cfg.dt_cap)
             bx, by = drift_field(cfg, x, y)
             if n_support:
-                h, glx, gly = _h_fields(x, y)
-                rows = _functional_rows(x, y, h, glx, gly, bx - glx, by - gly, shifts)
+                h_inv, glx, gly = _h_fields(x, y)
+                rows = _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts)
                 # trapezoidal time rule: each state's integrand carries half
                 # of the two adjacent step lengths, which centres the rule
                 # and removes the leading step-size error of the integral
@@ -315,20 +307,6 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
         chunk_idx += 1
 
     return comp, ms, absorbed, lifetimes, (end_x, end_y), occ
-
-
-def simulate_path(a: Seq, cfg: SdeConfig) -> PathSample:
-    """One path: the functional sample plus absorption bookkeeping.
-
-    A timed-out path reports absorbed=False; its functional integral is
-    truncated at max_time rather than silently dropped.
-    """
-    comp, ms, absorbed, lifetimes, (ex, ey), _ = _simulate(a, cfg, 1)
-    coef = np.array([a[int(m)] for m in ms])
-    value = float(coef @ comp[:, 0]) if len(ms) else 0.0
-    return PathSample(value=value, absorbed=bool(absorbed[0]),
-                      lifetime=float(lifetimes[0]),
-                      end=(float(ex[0]), float(ey[0])))
 
 
 def estimate_T(a: Seq, cfg: SdeConfig, paths: int,

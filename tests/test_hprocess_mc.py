@@ -9,7 +9,7 @@ import dhtlab.hprocess_mc as mc
 from dhtlab.hprocess_mc import (OccupationGrid, PathStats, SdeConfig,
                                 _h_fields, _simulate, drift_field, estimate_T,
                                 expected_occupation, occupation_check,
-                                refine_dt, simulate_path)
+                                refine_dt)
 from dhtlab.identities import PlanePoint, grad_h, h_func
 from dhtlab.seqops import Seq
 
@@ -69,29 +69,52 @@ def _stats_hex(stats):
     return (stats.mean.hex(), stats.std_error.hex(), stats.killed_fraction.hex())
 
 
-# Golden bits of seeded runs, recorded before the step loop was fused.  The
-# loop may be restructured freely, but every seeded path must keep consuming
-# the same draws and evaluating the same floating-point expressions; these
-# values must never be regenerated to make a change pass.
+def _ulps(a_hex, b_hex):
+    """Distance in units in the last place between two same-sign doubles."""
+    a, b = (int(np.float64(float.fromhex(v)).view(np.int64)) for v in (a_hex, b_hex))
+    return abs(a - b)
+
+
+# Golden bits of seeded runs.  The path bits (absorption, lifetimes, end
+# points, support sites and occupation) were recorded before the step loop
+# was fused and are frozen: drift, step sizes, taming, draws, absorption and
+# retirement must keep consuming the same draws and evaluating the same
+# floating-point expressions, so the path pins must never be regenerated to
+# make a change pass.  The functional is accumulated along those paths and
+# reads h and grad log h, which moved to one cancellation-free form at every
+# height; its pins were re-taken then, with each replaced value kept beside
+# its successor and the two held within a stated number of ulps, so the move
+# is rounding only.
+ESTIMATE_T_PINS = [
+    # (mean, std_error) now, (mean, std_error) before the re-pin, killed_fraction
+    (("0x1.386df12948449p-3", "0x1.dd339ffd41c7fp-7"),
+     ("0x1.386df12948449p-3", "0x1.dd339ffd41c7fp-7"), "0x1.0000000000000p+0"),
+    (("0x1.23d7b7ea7e326p-3", "0x1.ffa76a381050dp-7"),
+     ("0x1.23d7b7ea7e326p-3", "0x1.ffa76a381050cp-7"), "0x1.0000000000000p+0"),
+    (("0x1.8d56e0a276e23p-3", "0x1.5ac95230b57e4p-6"),
+     ("0x1.8d56e0a276e23p-3", "0x1.5ac95230b57e5p-6"), "0x1.fae147ae147aep-1"),
+]
+
+
 def test_golden_estimate_T_bits():
     cfg = SdeConfig(n=1, start=(TWO_PI, 4.0), seed=7, max_time=2000.0)
-    assert _stats_hex(estimate_T(Seq.delta(0), cfg, 300)) == (
-        "0x1.386df12948449p-3", "0x1.dd339ffd41c7fp-7", "0x1.0000000000000p+0")
-    two_site = Seq.from_dict({0: 1.0, -1: -1.0})
-    assert _stats_hex(estimate_T(two_site, cfg, 300)) == (
-        "0x1.23d7b7ea7e326p-3", "0x1.ffa76a381050cp-7", "0x1.0000000000000p+0")
     cfg_a = SdeConfig(n=1, start=(TWO_PI, 5.0), seed=4, max_time=2000.0)
-    assert _stats_hex(estimate_T(Seq.delta(0), cfg_a, 200, antithetic=True)) == (
-        "0x1.8d56e0a276e23p-3", "0x1.5ac95230b57e5p-6", "0x1.fae147ae147aep-1")
+    runs = [estimate_T(Seq.delta(0), cfg, 300),
+            estimate_T(Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 300),
+            estimate_T(Seq.delta(0), cfg_a, 200, antithetic=True)]
+    for stats, (now, before, killed) in zip(runs, ESTIMATE_T_PINS):
+        assert _stats_hex(stats) == (*now, killed)
+        assert all(_ulps(a, b) <= 1 for a, b in zip(now, before))
 
 
 def test_golden_simulate_path_bits():
     cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=3, max_time=2000.0)
-    s = simulate_path(Seq.delta(0), cfg)
-    assert (s.value.hex(), s.absorbed, s.lifetime.hex(),
-            s.end[0].hex(), s.end[1].hex()) == (
-        "0x1.f853ee0bfc05dp-3", True, "0x1.08a71c2b6b5c7p+5",
-        "0x1.93584ca4d6ac4p+2", "0x1.06353ec5da9d0p-6")
+    comp, _, absorbed, life, (ex, ey), _ = _simulate(Seq.delta(0), cfg, 1)
+    assert (bool(absorbed[0]), life[0].hex(), ex[0].hex(), ey[0].hex()) == (
+        True, "0x1.08a71c2b6b5c7p+5", "0x1.93584ca4d6ac4p+2", "0x1.06353ec5da9d0p-6")
+    value, before = "0x1.f853ee0bfc062p-3", "0x1.f853ee0bfc05dp-3"
+    assert comp[0, 0].hex() == value
+    assert _ulps(value, before) <= 5
 
 
 GOLDEN_GRID = OccupationGrid(x_min=math.pi, x_max=3 * math.pi,
@@ -105,21 +128,30 @@ def test_golden_occupation_bits():
         "9a650d13300cfaef1bde2dbc5af10b08defdd4bf64071d1f32b7b35a95bee9e3"
 
 
-def _multichunk_sha256():
+def _multichunk_digests():
     # 96 paths in chunks of 64: a full and a partial chunk, each on its own
     # derived stream, with the functional and the occupation in one pass
     cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=300.0)
     comp, ms, absorbed, life, (ex, ey), occ = _simulate(
         Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 96, grid=GOLDEN_GRID,
         chunk_size=64)
-    return _sha256(comp, ms, absorbed, life, ex, ey, occ)
+    return (_sha256(ms, absorbed, life, ex, ey, occ), _sha256(comp),
+            tuple(v.hex() for v in comp.sum(axis=1)))
 
 
-GOLDEN_MULTICHUNK = "1067ebfbbcc73cc4b3adfa7f283e32251da927150221d65e8634260be171191b"
+GOLDEN_MULTICHUNK = (
+    "e9196c00e20c2f3c3d511c20c92e74382e1c8f19b0a46b88211640a1b49b00aa",  # paths
+    "eaaf86750ed0cd925a36e1e1e3195378233064ce1f50771377d4b26c3502e3b5",  # functional
+    ("0x1.6aaecae51a812p-1", "0x1.c473be3e327d7p+2"),  # per-site functional sums
+)
+# the per-site sums before the functional re-pin
+MULTICHUNK_SUMS_BEFORE = ("0x1.6aaecae51a812p-1", "0x1.c473be3e327d8p+2")
 
 
 def test_golden_multichunk_bits():
-    assert _multichunk_sha256() == GOLDEN_MULTICHUNK
+    assert _multichunk_digests() == GOLDEN_MULTICHUNK
+    assert all(_ulps(a, b) <= 1
+               for a, b in zip(GOLDEN_MULTICHUNK[2], MULTICHUNK_SUMS_BEFORE))
 
 
 def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
@@ -132,7 +164,7 @@ def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
         return real(cfg, x, y)
 
     monkeypatch.setattr(mc, "drift_field", counting)
-    assert _multichunk_sha256() == GOLDEN_MULTICHUNK
+    assert _multichunk_digests() == GOLDEN_MULTICHUNK
     # each chunk opens at its full width and only loses paths
     rises = np.flatnonzero(np.diff(widths) > 0)
     assert widths[0] == 64 and len(rises) == 1 and widths[rises[0] + 1] == 32
@@ -156,7 +188,8 @@ H_POINTS = [(0.3, 0.5), (2.0, 0.9), (1.0, 1.0), (3.0, 1.0 + EPS), (-2.5, 1.5),
 
 @pytest.mark.parametrize("x, y", H_POINTS)
 def test_h_fields_against_independent_formulas(x, y):
-    h, glx, gly = (float(v[0]) for v in _h_fields(np.array([x]), np.array([y])))
+    h_inv, glx, gly = (float(v[0]) for v in _h_fields(np.array([x]), np.array([y])))
+    h = 1.0 / h_inv
     assert h == pytest.approx(h_func(PlanePoint(x, y)), rel=4 * EPS)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
@@ -187,6 +220,24 @@ def test_h_fields_bits_independent_of_batch():
         fields = np.array(_h_fields(batch[:, 0].copy(), batch[:, 1].copy())).T
         rows = [next(i for i, p in enumerate(pts) if np.array_equal(p, q)) for q in batch]
         assert np.array_equal(fields, single[rows])
+
+
+@pytest.mark.parametrize("y", [20.0, 40.0, 100.0, 700.0])
+def test_h_fields_dy_log_h_keeps_relative_accuracy_at_large_y(y):
+    # d/dy log h = coth y - sinh y / (cosh y - cos x) is about -2 e^-y cos x
+    # here, far below the size of its two terms, so the reference needs
+    # about 2y/ln 10 digits before its own subtraction leaves anything
+    mp = pytest.importorskip("mpmath")
+    t = math.exp(-y)
+    for x in (0.5, math.pi / 2 - 0.05, math.pi / 2 + 0.05, TWO_PI):
+        gly = float(_h_fields(np.array([x]), np.array([y]))[2][0])
+        with mp.workdps(int(2 * y / math.log(10)) + 30):
+            X, Y = mp.mpf(x), mp.mpf(y)
+            ref = float(mp.coth(Y) - mp.sinh(Y) / (mp.cosh(Y) - mp.cos(X)))
+        # a few eps of the value, plus a few eps of 2t: t - cos x is formed
+        # as expm1(-y) + 2 sin^2(x/2), whose rounding near x = pi/2 is eps
+        # absolute, and it enters the value multiplied by 2t
+        assert abs(gly - ref) <= 4 * EPS * (abs(ref) + 2 * t), (x, gly, ref)
 
 
 def test_occupation_check_unscored_cells():
@@ -240,12 +291,12 @@ def test_n0_functional_is_pointwise_zero():
 
 def test_single_path_sample():
     cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=3, max_time=3000.0)
-    s = simulate_path(Seq.delta(0), cfg)
-    assert math.isfinite(s.value)
-    assert s.absorbed
-    assert s.lifetime > 0
-    assert abs(s.end[0] - TWO_PI) < cfg.match_radius
-    assert s.end[1] < cfg.kill_eps
+    comp, _, absorbed, life, (ex, ey), _ = _simulate(Seq.delta(0), cfg, 1)
+    assert math.isfinite(comp[0, 0])
+    assert absorbed[0]
+    assert life[0] > 0
+    assert abs(ex[0] - TWO_PI) < cfg.match_radius
+    assert ey[0] < cfg.kill_eps
 
 
 def test_absorbed_fraction_grows_with_max_time():
