@@ -14,13 +14,12 @@ dt <= kill_eps^2/4 so the layer is resolved.
 
 Paths are simulated in fixed-size vectorized chunks with per-chunk derived
 random streams; identical (config, seed, paths) inputs give bit-identical
-results.  Each step makes one pass for 1/h and grad log h, in a single
-branch-free form that neither overflows nor cancels at any height, and feeds
-it straight into the functional; occupation runs skip it since they read
-neither.  All of it is elementwise, so a path's bits do not depend on which
-other paths are still live.  The path itself (drift, step, taming, draws,
-absorption) never reads h.  Statistical acceptance is always "within 3
-standard errors".
+results.  Each step makes one pass for 1/h and grad log h
+(``halfplane.h_fields``) and feeds it straight into the functional;
+occupation runs skip it since they read neither.  All of it is
+elementwise, so a path's bits do not depend on which other paths are still
+live.  The path itself (drift, step, taming, draws, absorption) never reads
+h.  Statistical acceptance is always "within 3 standard errors".
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from dhtlab.identities import PlanePoint, green_G, poisson_p
+from dhtlab.halfplane import green_G, h_fields, poisson_p
 from dhtlab.numerics import gk_eval  # fixed rule for expected-occupation cells
 from dhtlab.seqops import Seq
 
@@ -132,33 +131,6 @@ def drift_field(cfg: SdeConfig, x, y):
     return -2.0 * xt / r2, 1.0 / y - 2.0 * y / r2
 
 
-def _h_fields(x, y):
-    """(1/h, d/dx log h, d/dy log h) for h = sinh y / (2 pi (cosh y - cos x)).
-
-    One elementwise form at every height.  With t = exp(-y), e1 = expm1(-y)
-    = t - 1 and s, c = sin(x/2), cos(x/2), the cosh-type denominator
-    denom = 1 + t^2 - 2t cos x is e1^2 + 4t s^2, 1 - t^2 is -e1 (2 + e1), and
-
-        1/h = 2 pi denom / (1 - t^2),   d/dx log h = -4t s c / denom,
-        d/dy log h = 2t^2/(1 - t^2) + 2t (e1 + 2 s^2) / denom.
-
-    Nothing overflows, and t - cos x enters as e1 + 2 s^2, so d/dy log h
-    keeps its relative accuracy as y grows (it is about -2t cos x there).
-    A point's bits do not depend on the other points of the batch.
-    """
-    ny = -y
-    t = np.exp(ny)
-    e1 = np.expm1(ny)
-    hx = 0.5 * x
-    s = np.sin(hx)
-    ss = s * s
-    t2 = 2.0 * t
-    denom = e1 * e1 + 2.0 * t2 * ss
-    minus = -e1 * (2.0 + e1)
-    return (_TWO_PI * denom / minus, -2.0 * t2 * s * np.cos(hx) / denom,
-            t2 * t / minus + t2 * (e1 + 2.0 * ss) / denom)
-
-
 def _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts):
     """F_m = H grad(p_m / h) . (b - grad log h) for every support site m,
     where ``shifts`` holds 2 pi m: one row per site, or a flat row for a
@@ -238,7 +210,7 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
             dtk = np.minimum(np.maximum(cfg.step_scale * y * y, cfg.dt), cfg.dt_cap)
             bx, by = drift_field(cfg, x, y)
             if n_support:
-                h_inv, glx, gly = _h_fields(x, y)
+                h_inv, glx, gly = h_fields(x, y)
                 rows = _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts)
                 # trapezoidal time rule: each state's integrand carries half
                 # of the two adjacent step lengths, which centres the rule
@@ -330,7 +302,7 @@ def estimate_T(a: Seq, cfg: SdeConfig, paths: int,
 def expected_occupation(cfg: SdeConfig, grid: OccupationGrid) -> np.ndarray:
     """Cell integrals of p_n(x, y) G(x, y) / p_n(start) by tensor quadrature."""
     x0, y0 = cfg.start
-    pn0 = poisson_p(cfg.n, PlanePoint(x0, y0))
+    pn0 = poisson_p(cfg.n, x0, y0)
     out = np.empty((grid.ny, grid.nx))
     xs = np.linspace(grid.x_min, grid.x_max, grid.nx + 1)
     ys = np.linspace(grid.y_min, grid.y_max, grid.ny + 1)
@@ -342,12 +314,7 @@ def expected_occupation(cfg: SdeConfig, grid: OccupationGrid) -> np.ndarray:
                 for kk, yy in enumerate(yv):
                     def fx(xv):
                         xv = np.asarray(xv, dtype=float)
-                        xt = xv - _TWO_PI * cfg.n
-                        pn = yy / (math.pi * (xt * xt + yy * yy))
-                        dx2 = (xv - x0) ** 2
-                        G = np.log((dx2 + (yy + y0) ** 2)
-                                   / (dx2 + (yy - y0) ** 2)) / _TWO_PI
-                        return pn * G / pn0
+                        return poisson_p(cfg.n, xv, yy) * green_G(xv, yy, x0, y0) / pn0
                     lo = np.array([xs[i], 0.5 * (xs[i] + xs[i + 1])])
                     hi = np.array([0.5 * (xs[i] + xs[i + 1]), xs[i + 1]])
                     v, _ = gk_eval(fx, lo, hi)

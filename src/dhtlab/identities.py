@@ -13,18 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from dhtlab.halfplane import grad_poisson, green_G, h_fields, poisson_p
 from dhtlab.kernels import E, F, e_tail_constant, f_kernel, j_kernel
-from dhtlab.numerics import QuadResult, coth, csch, csch_sq, gk15_panels, integrate
+from dhtlab.numerics import QuadResult, coth, csch_sq, gk15_panels, integrate
 
 __all__ = [
     "PlanePoint",
     "IdentityReport",
-    "poisson_p",
-    "h_func",
-    "green_G",
-    "grad_poisson",
-    "grad_h",
-    "grad_h_inv",
     "verify_poisson_sum",
     "h_lower_bound_correction",
     "verify_h_normalization",
@@ -79,89 +74,6 @@ class IdentityReport:
                 "tolerance": float(self.tolerance), "pass": bool(self.passed)}
 
 
-# -- closed forms --------------------------------------------------------------
-
-def _cosh_minus_cos(x, y):
-    """cosh(y) - cos(x) = 2 (sinh^2(y/2) + sin^2(x/2)), stable near (2 pi k, 0)."""
-    return 2.0 * (np.sinh(y / 2.0) ** 2 + np.sin(x / 2.0) ** 2)
-
-
-def poisson_p(n: int, pt: PlanePoint) -> float:
-    """Harmonic exit density at the lattice point 2 pi n for the half-plane."""
-    xt = pt.x - _TWO_PI * n
-    return pt.y / (_PI * (xt * xt + pt.y * pt.y))
-
-
-def h_func(pt: PlanePoint) -> float:
-    """sinh(y) / (2 pi (cosh y - cos x)); the lattice sum of the poisson_p."""
-    return math.sinh(pt.y) / (_TWO_PI * _cosh_minus_cos(pt.x, pt.y))
-
-
-def green_G(pt: PlanePoint, x0: float, y0: float) -> float:
-    """Green function of the half-plane for -Laplace/2 with pole at (x0, y0)."""
-    if pt.x == x0 and pt.y == y0:
-        raise ValueError("Green function evaluated at its pole")
-    dx2 = (pt.x - x0) ** 2
-    return math.log((dx2 + (pt.y + y0) ** 2) / (dx2 + (pt.y - y0) ** 2)) / _TWO_PI
-
-
-def grad_poisson(n: int, x, y):
-    """(d/dx, d/dy) of poisson_p, vectorized over x, y arrays."""
-    xt = x - _TWO_PI * n
-    r2 = xt * xt + y * y
-    return -2.0 * xt * y / (_PI * r2 * r2), (xt * xt - y * y) / (_PI * r2 * r2)
-
-
-def grad_h(x, y):
-    """(d/dx, d/dy) of h_func, vectorized.
-
-    The gradient is (-sinh y sin x, 1 - cosh y cos x) / (2 pi c^2) with
-    c = cosh y - cos x.  Up to y = 20 the second numerator is written as
-    2 sin^2(x/2) - 2 sinh^2(y/2) cos x, which does not cancel near the poles
-    (2 pi k, 0); above it everything is scaled by u = exp(-y), so nothing
-    overflows: (-u (1 - u^2) sin x, u (2u - (1 + u^2) cos x)) / (pi d^2)
-    with d = 1 - 2u cos x + u^2.
-    """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    hx, hy = np.empty(x.shape), np.empty(x.shape)
-    lo = y <= 20.0
-    xl, yl = x[lo], y[lo]
-    c2 = _TWO_PI * _cosh_minus_cos(xl, yl) ** 2
-    hx[lo] = -np.sinh(yl) * np.sin(xl) / c2
-    hy[lo] = 2.0 * (np.sin(xl / 2.0) ** 2 - np.sinh(yl / 2.0) ** 2 * np.cos(xl)) / c2
-    xh, u = x[~lo], np.exp(-y[~lo])
-    cos_x = np.cos(xh)
-    d2 = _PI * (1.0 - 2.0 * u * cos_x + u * u) ** 2
-    hx[~lo] = -u * (1.0 - u * u) * np.sin(xh) / d2
-    hy[~lo] = u * (2.0 * u - (1.0 + u * u) * cos_x) / d2
-    return hx, hy
-
-
-def grad_h_inv(x, y):
-    """(d/dx, d/dy) of 1/h_func, vectorized over x at scalar height y.
-
-    Above y = 20 the hyperbolics are rewritten in exp(-y) form so that
-    integrands probed at very large heights do not overflow.
-    """
-    if np.ndim(y) == 0 and y > 20.0:
-        cs = float(csch(y))
-        ct = float(coth(y))
-        gx = _TWO_PI * np.sin(x) * cs
-        gy = _TWO_PI * (np.cos(x) * ct - cs) * cs
-        return gx, gy
-    sh = np.sinh(y)
-    gx = _TWO_PI * np.sin(x) / sh
-    gy = _TWO_PI * (np.cos(x) * np.cosh(y) - 1.0) / (sh * sh)
-    return gx, gy
-
-
-def _h_inv(x, y: float):
-    """2 pi (cosh y - cos x)/sinh y, overflow-safe for large scalar y."""
-    if y > 20.0:
-        return _TWO_PI * (float(coth(y)) - np.cos(x) * float(csch(y)))
-    return _TWO_PI * _cosh_minus_cos(x, y) / math.sinh(y)
-
-
 def _rot_dot(ax, ay, bx, by):
     """(H a) . b with the quarter-turn H = [[0, -1], [1, 0]]."""
     return -ay * bx + ax * by
@@ -170,7 +82,7 @@ def _rot_dot(ax, ay, bx, by):
 # -- lattice sum and elementary bounds ----------------------------------------
 
 def verify_poisson_sum(pt: PlanePoint, N: int) -> IdentityReport:
-    """Partial lattice sum of poisson_p against the closed form of h_func.
+    """Partial lattice sum of the p_n against the closed form of h.
 
     x is folded into [-pi, pi) first (a lattice shift only reindexes the sum),
     which makes the report exactly even and 2 pi periodic in x.  The tail
@@ -180,14 +92,11 @@ def verify_poisson_sum(pt: PlanePoint, N: int) -> IdentityReport:
         raise ValueError("N >= 1 required")
     x = pt.x - _TWO_PI * round(pt.x / _TWO_PI)
     y = pt.y
-    s = poisson_p(0, PlanePoint(x, y))
     ks = np.arange(1, N + 1)
-    pos = y / (_PI * ((x - _TWO_PI * ks) ** 2 + y * y))
-    neg = y / (_PI * ((x + _TWO_PI * ks) ** 2 + y * y))
-    s += math.fsum(pos + neg)
+    s = poisson_p(0, x, y) + math.fsum(poisson_p(ks, x, y) + poisson_p(-ks, x, y))
     tail = y / (_PI ** 3 * (2 * N - 1))
     return IdentityReport.make(f"poisson_sum(x={pt.x},y={pt.y},N={N})",
-                               s, h_func(PlanePoint(x, y)), tail + 1e-13 * abs(s))
+                               s, 1.0 / h_fields(x, y)[0], tail + 1e-13 * abs(s))
 
 
 def verify_h_normalization() -> IdentityReport:
@@ -204,7 +113,7 @@ def verify_h_bounds(pt: PlanePoint) -> IdentityReport:
     the denominator would fail for small y (e.g. at x = 2.5, y = 0.2); see
     h_lower_bound_correction in the suite.
     """
-    h = h_func(pt)
+    h = 1.0 / h_fields(pt.x, pt.y)[0]
     lo = pt.y / (_TWO_PI * (pt.y + 2.0))
     hi = (pt.y + 2.0) / (_TWO_PI * pt.y)
     margin = min(h - lo, hi - h)
@@ -219,7 +128,7 @@ def h_lower_bound_correction() -> IdentityReport:
     At (x, y) = (2.5, 0.2): h < y/(2 pi (y+1)) but h >= y/(2 pi (y+2)).
     """
     pt = PlanePoint(2.5, 0.2)
-    h = h_func(pt)
+    h = 1.0 / h_fields(pt.x, pt.y)[0]
     wrong = pt.y / (_TWO_PI * (pt.y + 1.0))
     right = pt.y / (_TWO_PI * (pt.y + 2.0))
     ok = (h < wrong) and (h >= right)
@@ -247,8 +156,7 @@ def verify_green_limit(pt: PlanePoint, n: int, y0_list) -> IdentityReport:
         raise ValueError("need y0 >= 2 pi n for the envelope")
     ratios = []
     for y0 in y0s:
-        pn0 = poisson_p(n, PlanePoint(0.0, y0))
-        ratios.append(green_G(pt, 0.0, y0) / pn0)
+        ratios.append(green_G(pt.x, pt.y, 0.0, y0) / poisson_p(n, 0.0, y0))
     target = 2.0 * pt.y
     dists = [abs(r - target) for r in ratios]
     monotone = all(b <= a * (1 + 1e-12) for a, b in zip(dists, dists[1:]))
@@ -319,7 +227,7 @@ def _I_integrand(k: int, n: int, y: float):
             pnx, pny = grad_poisson(n, x, y)
             core = _rot_dot(p0x, p0y, pnx, pny)
             return _TWO_PI * (core if k == 1 else core * np.cos(x))
-        pn = y / (_PI * ((x - _TWO_PI * n) ** 2 + y * y))
+        pn = poisson_p(n, x, y)
         if k == 3:
             return _TWO_PI * pn * (-p0y) * np.sin(x)
         if k == 4:
@@ -341,53 +249,26 @@ def _int6_combined_integrand(n: int, y: float):
         x = np.asarray(x, dtype=float)
         p0x, p0y = grad_poisson(0, x, y)
         pnx, pny = grad_poisson(n, x, y)
-        pn = y / (_PI * ((x - _TWO_PI * n) ** 2 + y * y))
-        hinv = _h_inv(x, y)
-        gx, gy = grad_h_inv(x, y)
+        hinv, glx, gly = h_fields(x, y)
         return hinv * _rot_dot(p0x, p0y, pnx, pny) \
-            + 2.0 * pn * _rot_dot(p0x, p0y, gx, gy)
+            + 2.0 * poisson_p(n, x, y) * _rot_dot(p0x, p0y, -hinv * glx, -hinv * gly)
     return f
 
 
-def _int6_quad(n: int, y: float, rel_tol: float):
-    return _integrate_line(_int6_combined_integrand(n, y), [0.0, _TWO_PI * n],
-                           rel_tol)
-
-
-def int6_closed(n: int, y: float, cubed_variant: bool = False) -> float:
-    """Closed form of the combined x-integral.
-
-    The second term carries (y^2 + pi^2 n^2) to the first power; the variant
-    with the third power (``cubed_variant``) is kept only so the harness can
-    demonstrate numerically that it is wrong.
-    """
+def int6_closed(n: int, y: float) -> float:
+    """Closed form of the combined x-integral; the second term carries
+    (y^2 + pi^2 n^2) to the first power."""
     pn2 = (_PI * n) ** 2
     d = y * y + pn2
-    power = 3 if cubed_variant else 1
     return _PI * n * (3.0 * y * y - pn2) / d ** 3 \
-        + y * y * float(csch_sq(y)) / (_PI * n * d ** power)
+        + y * y * float(csch_sq(y)) / (_PI * n * d)
 
 
 def verify_int6(n: int, y: float, rel_tol: float = 1e-9) -> IdentityReport:
-    q = _int6_quad(n, y, rel_tol)
+    q = _integrate_line(_int6_combined_integrand(n, y), [0.0, _TWO_PI * n], rel_tol)
     rhs = int6_closed(n, y)
     tol = max(1e-8 * abs(rhs), 10.0 * q.abs_error_estimate, 1e-14)
     return IdentityReport.make(f"combined_x_integral(n={n},y={y})", q.value, rhs, tol)
-
-
-def int6_exponent_check(n: int = 1, y: float = 1.0) -> dict:
-    """Decide numerically which power the combined integral's second term has."""
-    q = _int6_quad(n, y, 1e-10)
-    first = int6_closed(n, y, cubed_variant=False)
-    third = int6_closed(n, y, cubed_variant=True)
-    return {
-        "quadrature": q.value,
-        "first_power": first,
-        "third_power": third,
-        "diff_first": abs(q.value - first),
-        "diff_third": abs(q.value - third),
-        "first_power_is_correct": abs(q.value - first) < abs(q.value - third) * 1e-3,
-    }
 
 
 def verify_int7(n: int, rel_tol: float = 1e-12) -> IdentityReport:
@@ -553,23 +434,19 @@ def conditional_kernel_quad(n: int, x0: float, y0: float,
     """
     if not y0 > 0:
         raise ValueError("y0 > 0 required")
-    pn0 = poisson_p(n, PlanePoint(x0, y0))
+    pn0 = poisson_p(n, x0, y0)
 
     def inner(y: float) -> float:
         def f(x):
             x = np.asarray(x, dtype=float)
             p0x, p0y = grad_poisson(0, x, y)
             pnx, pny = grad_poisson(n, x, y)
-            pn = y / (_PI * ((x - _TWO_PI * n) ** 2 + y * y))
-            p0 = y / (_PI * (x * x + y * y))
-            hinv = _h_inv(x, y)
-            gx, gy = grad_h_inv(x, y)
-            dx2 = (x - x0) ** 2
-            G = np.log((dx2 + (y + y0) ** 2) / (dx2 + (y - y0) ** 2)) / _TWO_PI
+            hinv, glx, gly = h_fields(x, y)
+            gx, gy = -hinv * glx, -hinv * gly
             core = hinv * _rot_dot(p0x, p0y, pnx, pny) \
-                + pn * _rot_dot(p0x, p0y, gx, gy) \
-                - p0 * _rot_dot(pnx, pny, gx, gy)
-            return G / pn0 * core
+                + poisson_p(n, x, y) * _rot_dot(p0x, p0y, gx, gy) \
+                - poisson_p(0, x, y) * _rot_dot(pnx, pny, gx, gy)
+            return green_G(x, y, x0, y0) / pn0 * core
         breaks = sorted({0.0, _TWO_PI * n, x0})
         return _integrate_line(f, breaks, max(rel_tol * 0.1, 2e-9),
                                max_evals=400_000).value
@@ -627,14 +504,11 @@ def run_section3_suite(profile: str = "default") -> list[IdentityReport]:
 def _h_normalization_report() -> IdentityReport:
     """The lattice sum carries the 1/(2 pi) factor: check at (pi, 1) where the
     two normalizations differ by 2 pi."""
-    pt = PlanePoint(_PI, 1.0)
     N = 4000
-    x, y = pt.x, pt.y
+    x, y = _PI, 1.0
     ks = np.arange(1, N + 1)
-    s = poisson_p(0, pt) + math.fsum(
-        y / (_PI * ((x - _TWO_PI * ks) ** 2 + y * y))
-        + y / (_PI * ((x + _TWO_PI * ks) ** 2 + y * y)))
-    with_factor = h_func(pt)
+    s = poisson_p(0, x, y) + math.fsum(poisson_p(ks, x, y) + poisson_p(-ks, x, y))
+    with_factor = 1.0 / h_fields(x, y)[0]
     without_factor = _TWO_PI * with_factor
     tol = y / (_PI ** 3 * (2 * N - 1)) + 1e-12
     ok = bool(abs(s - with_factor) <= tol

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dhtlab import identities as I
+from dhtlab.halfplane import grad_poisson, green_G, h_fields, poisson_p
 from dhtlab.identities import PlanePoint
 from dhtlab.kernels import f_kernel, j_kernel
 
@@ -16,15 +17,17 @@ plane_points = st.builds(PlanePoint,
                          st.floats(0.05, 10.0))
 
 
+def _h(x, y):
+    return 1.0 / h_fields(x, y)[0]
+
+
 def test_closed_form_spot_values():
-    assert I.poisson_p(0, PlanePoint(0.0, 1.0)) == pytest.approx(1 / math.pi,
-                                                                 abs=1e-15)
-    pt = PlanePoint(math.pi, 2.0)
-    assert I.h_func(pt) == pytest.approx(math.tanh(1.0) / TWO_PI, abs=1e-15)
-    assert I.green_G(PlanePoint(0.0, 1.0), 0.0, 2.0) == pytest.approx(
-        math.log(9.0) / TWO_PI, abs=1e-15)
+    assert poisson_p(0, 0.0, 1.0) == pytest.approx(1 / math.pi, abs=1e-15)
+    assert _h(math.pi, 2.0) == pytest.approx(math.tanh(1.0) / TWO_PI, abs=1e-15)
+    assert green_G(0.0, 1.0, 0.0, 2.0) == pytest.approx(math.log(9.0) / TWO_PI,
+                                                        abs=1e-15)
     with pytest.raises(ValueError):
-        I.green_G(PlanePoint(0.0, 2.0), 0.0, 2.0)
+        green_G(0.0, 2.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         PlanePoint(0.0, -1.0)
 
@@ -54,10 +57,20 @@ def test_h_bounds():
     assert I.verify_h_bounds(PlanePoint(0.0, 7.0)).passed
     # the y+1 variant of the lower bound holds at the quoted example point
     pt = PlanePoint(0.3, 2.0)
-    assert pt.y / (TWO_PI * (pt.y + 1.0)) <= I.h_func(pt) \
+    assert pt.y / (TWO_PI * (pt.y + 1.0)) <= _h(pt.x, pt.y) \
         <= (pt.y + 2.0) / (TWO_PI * pt.y)
     # ... but fails at small y, where only the y+2 constant is valid
     assert I.h_lower_bound_correction().passed
+
+
+@pytest.mark.parametrize("y", [709.0, 711.0, 800.0, 1e4])
+def test_h_at_large_heights(y):
+    # h -> 1/(2 pi) as y grows; sinh y overflows from y = 710 on, and
+    # sinh y / (cosh y - cos x) is inf/inf a little before that
+    for x in (0.0, 1.0):
+        rep = I.verify_h_bounds(PlanePoint(x, y))
+        assert rep.passed
+        assert abs(rep.lhs - 1.0 / TWO_PI) <= 2 * math.ulp(1.0 / TWO_PI)
 
 
 def test_green_limit():
@@ -74,7 +87,7 @@ def test_green_limit():
 def test_green_envelope_at_8pi():
     pt = PlanePoint(1.0, 1.0)
     y0 = 8 * math.pi
-    ratio = I.green_G(pt, 0.0, y0) / I.poisson_p(1, PlanePoint(0.0, y0))
+    ratio = green_G(pt.x, pt.y, 0.0, y0) / poisson_p(1, 0.0, y0)
     g = I._green_envelope(pt.y / y0)
     assert ratio <= pt.y * g
 
@@ -111,12 +124,10 @@ def test_I_odd_in_n(k):
 
 
 def test_int6_and_exponent_question():
-    rep = I.verify_int6(1, 1.0)
-    assert rep.passed
-    check = I.int6_exponent_check()
-    assert check["first_power_is_correct"]
-    assert check["diff_first"] < 1e-10
-    assert check["diff_third"] > 1e-3
+    # the closed form's second term carries (y^2 + pi^2 n^2) to the first power
+    assert I.verify_int6(1, 1.0).passed
+    rep = I.verify_int6(1, 1.0, rel_tol=1e-10)
+    assert abs(rep.lhs - rep.rhs) < 1e-10
 
 
 def test_int7():
@@ -165,30 +176,30 @@ def test_ihj_matches_f_kernel():
 def test_rotation_orthogonality(pt):
     # (H grad f) . grad f = 0 exactly for the quarter-turn H
     x, y = np.array([pt.x]), np.array([pt.y])
-    for gx, gy in (I.grad_poisson(1, x, y), I.grad_h(x, y)):
+    for gx, gy in (grad_poisson(1, x, y), h_fields(x, y)[1:]):
         assert I._rot_dot(gx, gy, gx, gy)[0] == 0.0
 
 
 def test_grad_h_bound_on_grid():
+    # |grad h| <= h / y, that is |grad log h| <= 1 / y
     xs = np.linspace(-math.pi, math.pi, 10)
     ys = np.linspace(0.2, 5.0, 10)
     for x in xs:
         for y in ys:
-            hx, hy = I.grad_h(np.array([x]), np.array([y]))
-            h = I.h_func(PlanePoint(float(x), float(y)))
-            assert math.hypot(hx[0], hy[0]) <= h / y * (1 + 1e-12)
+            _, glx, gly = h_fields(x, y)
+            assert math.hypot(glx, gly) <= 1.0 / y * (1 + 1e-12)
 
 
 def test_grad_h_matches_finite_differences():
-    pt = PlanePoint(0.8, 1.7)
+    # h grad log h = grad h, and -(1/h) grad log h = grad (1/h)
+    x, y = 0.8, 1.7
     eps = 1e-6
-    hx, hy = I.grad_h(np.array([pt.x]), np.array([pt.y]))
-    dx = (I.h_func(PlanePoint(pt.x + eps, pt.y))
-          - I.h_func(PlanePoint(pt.x - eps, pt.y))) / (2 * eps)
-    dy = (I.h_func(PlanePoint(pt.x, pt.y + eps))
-          - I.h_func(PlanePoint(pt.x, pt.y - eps))) / (2 * eps)
-    assert hx[0] == pytest.approx(dx, abs=1e-8)
-    assert hy[0] == pytest.approx(dy, abs=1e-8)
+    h_inv, glx, gly = h_fields(x, y)
+    for f, scale in ((_h, 1.0 / h_inv), (lambda x, y: h_fields(x, y)[0], -h_inv)):
+        dx = (f(x + eps, y) - f(x - eps, y)) / (2 * eps)
+        dy = (f(x, y + eps) - f(x, y - eps)) / (2 * eps)
+        assert scale * glx == pytest.approx(dx, abs=1e-8)
+        assert scale * gly == pytest.approx(dy, abs=1e-8)
 
 
 @pytest.mark.parametrize("x, y", [
@@ -196,22 +207,26 @@ def test_grad_h_matches_finite_differences():
     (0.3, 20.0), (2.0, 20.0 + 1e-9), (1.0, 40.0), (0.0, 40.0), (2.0, 700.0),
     (math.pi / 2, 700.0)])
 def test_grad_h_against_mpmath(x, y):
-    # near the poles (2 pi k, 0) 1 - cosh y cos x cancels, and above
-    # y ~ 355 (cosh y - cos x)^2 overflows; neither may cost accuracy
+    # grad(1/h) = -(1/h) grad log h, as the integrands use it.  Near the
+    # poles (2 pi k, 0) cos x cosh y - 1 cancels, and above y ~ 355 sinh^2 y
+    # overflows; neither may cost accuracy
     mp = pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        hx, hy = I.grad_h(np.array([x]), np.array([y]))
+        h_inv, glx, gly = h_fields(np.array([x]), np.array([y]))
+    gx, gy = -h_inv[0] * glx[0], -h_inv[0] * gly[0]
     with mp.workdps(50):
         X, Y = mp.mpf(x), mp.mpf(y)
-        c2 = 2 * mp.pi * (mp.cosh(Y) - mp.cos(X)) ** 2
-        ref_x = float(-mp.sinh(Y) * mp.sin(X) / c2)
-        ref_y = float((1 - mp.cosh(Y) * mp.cos(X)) / c2)
-        # the d/dy numerator is a difference: hold it to its terms' size
-        scale_y = float((2 * mp.sin(X / 2) ** 2
-                         + 2 * mp.sinh(Y / 2) ** 2 * abs(mp.cos(X))) / c2)
-    assert hx[0] == pytest.approx(ref_x, rel=4 * eps, abs=0.0)
-    assert abs(hy[0] - ref_y) <= 4 * eps * scale_y
+        sh = mp.sinh(Y)
+        ref_x = float(2 * mp.pi * mp.sin(X) / sh)
+        ref_y = float(2 * mp.pi * (mp.cos(X) * mp.cosh(Y) - 1) / sh ** 2)
+        # the d/dy numerator is a difference: hold it to its terms' size, and
+        # beside x = pi/2 at large y, where cos x is formed as
+        # 1 - 2 sin^2(x/2) to eps absolute, to eps of 4 pi e^-y
+        scale_y = float(2 * mp.pi * (1 + mp.cosh(Y) * abs(mp.cos(X))) / sh ** 2
+                        + 4 * mp.pi * mp.exp(-Y))
+    assert gx == pytest.approx(ref_x, rel=6 * eps, abs=0.0)
+    assert abs(gy - ref_y) <= 6 * eps * scale_y
 
 
 def test_reflection_symmetry_of_cross_terms():
@@ -219,19 +234,19 @@ def test_reflection_symmetry_of_cross_terms():
     # the integral of p_1 H grad p_0 . grad (1/h)  (x -> 2 pi - x)
     n = 1
     for y in (0.5, 1.0, 2.0):
+        def grad_h_inv(x):
+            h_inv, glx, gly = h_fields(x, y)
+            return -h_inv * glx, -h_inv * gly
+
         def f_a(x):
             x = np.asarray(x, dtype=float)
-            p0 = y / (math.pi * (x * x + y * y))
-            pnx, pny = I.grad_poisson(n, x, y)
-            gx, gy = I.grad_h_inv(x, y)
-            return p0 * I._rot_dot(pnx, pny, gx, gy)
+            pnx, pny = grad_poisson(n, x, y)
+            return poisson_p(0, x, y) * I._rot_dot(pnx, pny, *grad_h_inv(x))
 
         def f_b(x):
             x = np.asarray(x, dtype=float)
-            pn = y / (math.pi * ((x - TWO_PI * n) ** 2 + y * y))
-            p0x, p0y = I.grad_poisson(0, x, y)
-            gx, gy = I.grad_h_inv(x, y)
-            return pn * I._rot_dot(p0x, p0y, gx, gy)
+            p0x, p0y = grad_poisson(0, x, y)
+            return poisson_p(n, x, y) * I._rot_dot(p0x, p0y, *grad_h_inv(x))
 
         qa = I._integrate_line(f_a, [0.0, TWO_PI * n], 1e-10)
         qb = I._integrate_line(f_b, [0.0, TWO_PI * n], 1e-10)

@@ -268,6 +268,19 @@ def test_kernel_dumps_do_not_import_scipy():
     assert _run_fresh(code).strip() == "[]"
 
 
+def test_halfplane_imports_no_other_dhtlab_module():
+    # halfplane is the one home of p_n, G and h: it depends on no other
+    # dhtlab module (beyond what the package itself loads), and the Monte
+    # Carlo side reaches the potentials without the identity harness
+    code = ("import sys, dhtlab\n"
+            "before = set(sys.modules)\n"
+            "import dhtlab.halfplane\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('dhtlab')))\n"
+            "import dhtlab.hprocess_mc\n"
+            "print('dhtlab.identities' in sys.modules)\n")
+    assert _run_fresh(code).split() == ["['dhtlab.halfplane']", "False"]
+
+
 def test_no_module_uses_another_modules_private_names():
     # no `from dhtlab.x import _name`, and private attributes are reached only
     # through self or cls (stricter than needed, but simple to check)
