@@ -14,12 +14,20 @@ dt <= kill_eps^2/4 so the layer is resolved.
 
 Paths are simulated in fixed-size vectorized chunks with per-chunk derived
 random streams; identical (config, seed, paths) inputs give bit-identical
-results.  Each step makes one pass for 1/h and grad log h
-(``halfplane.h_fields``) and feeds it straight into the functional;
-occupation runs skip it since they read neither.  All of it is
-elementwise, so a path's bits do not depend on which other paths are still
-live.  The path itself (drift, step, taming, draws, absorption) never reads
-h.  Statistical acceptance is always "within 3 standard errors".
+results.  The path itself (drift, step, taming, draws, absorption) never
+reads h, and neither the functional nor the occupation binning changes the
+path, so a step only copies the states of its live paths, with their global
+indices, into flat path-step buffers.  Once those hold ``_BATCH`` path-steps
+(and at the end of the run), one pass evaluates 1/h and grad log h
+(``halfplane.h_fields``), the functional and the occupation cells for the
+whole batch, and ``np.add.at`` adds the terms into the per-path sums; this
+spreads numpy's per-call cost, which dominates at the narrow widths most
+steps run at, over many steps.  Occupation runs skip h since they read
+neither.  The batching keeps every bit: the fields and the functional are
+elementwise, so a path-step's terms do not depend on the rest of its batch,
+and ``np.add.at`` adds in index order, so each per-path sum receives the
+same terms in the same step order as adding them step by step.
+Statistical acceptance is always "within 3 standard errors".
 """
 
 from __future__ import annotations
@@ -45,6 +53,11 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+# path-steps gathered before the functional and the occupation bins are
+# evaluated: enough to spread numpy's per-call cost over the narrow widths
+# most steps run at, while each buffer of _BATCH + chunk_size doubles stays
+# below glibc's default 128 KiB mmap threshold at the default chunk size
+_BATCH = 2048
 
 
 @dataclass(frozen=True)
@@ -78,8 +91,15 @@ class SdeConfig:
             raise ValueError("need dt <= kill_eps^2/4 to resolve the boundary layer")
         if not (math.isfinite(self.start[0]) and 0 < self.start[1] < math.inf):
             raise ValueError("start must be finite with a positive height")
-        if not self.max_time > 0:
-            raise ValueError("max_time must be positive")
+        if not 0 < self.max_time < math.inf:
+            raise ValueError("max_time must be finite and positive")
+        # a NaN step never reaches max_time, and a NaN or empty absorption
+        # window absorbs no path, so either would run without end
+        for name in ("step_scale", "dt_cap", "match_radius"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.dt_cap < self.dt:
+            raise ValueError("need dt_cap >= dt")
 
 
 @dataclass(frozen=True)
@@ -121,6 +141,7 @@ class OccupationReport:
     chi2: float
     chi2_z: float
     total_z: float
+    killed_fraction: float    # share of paths absorbed before max_time
 
 
 def drift_field(cfg: SdeConfig, x, y):
@@ -190,6 +211,42 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
     group = 2 if antithetic else 1
     per_chunk = chunk_size // group
 
+    # path-step buffers, one flat array per quantity; a step appends its
+    # live paths, and the first chunk is the widest, so _BATCH plus its
+    # width never overflows them
+    cap = _BATCH + min(per_chunk, step_groups) * group
+    fill = 0
+    buf_idx = np.empty(cap, dtype=np.int64)
+    if n_support:
+        # buf_dtsum holds dtk_prev + dtk, twice the trapezoidal weight
+        buf_x, buf_y, buf_bx, buf_by, buf_dtsum = (np.empty(cap) for _ in range(5))
+    if occ is not None:
+        buf_mx, buf_my, buf_dt = (np.empty(cap) for _ in range(3))
+
+    def flush(k):
+        ib = buf_idx[:k]
+        if n_support:
+            x, y = buf_x[:k], buf_y[:k]
+            h_inv, glx, gly = h_fields(x, y)
+            rows = _functional_rows(x, y, h_inv, glx, gly, buf_bx[:k],
+                                    buf_by[:k], shifts)
+            # trapezoidal time rule: each state's integrand carries half
+            # of the two adjacent step lengths, which centres the rule
+            # and removes the leading step-size error of the integral
+            rows = np.reshape(rows * (0.5 * buf_dtsum[:k]), (n_support, k))
+            # np.add.at adds in index order, so each sum takes its terms in
+            # step order; a call per site row is far cheaper than one 2-D call
+            for row, vals in zip(comp, rows):
+                np.add.at(row, ib, vals)
+        if occ is not None:
+            # midpoint attribution of the step's time (left-point binning
+            # systematically shifts occupation opposite to the motion)
+            ix = np.floor((0.5 * buf_mx[:k] - grid.x_min) / wx).astype(np.int64)
+            iy = np.floor((0.5 * buf_my[:k] - grid.y_min) / wy).astype(np.int64)
+            inside = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
+            flat = ib * grid.cells + iy * grid.nx + ix
+            np.add.at(occ.reshape(-1), flat[inside], buf_dt[:k][inside])
+
     chunk_idx = 0
     done_groups = 0
     while done_groups < step_groups:
@@ -203,19 +260,19 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
         x = np.full(m, cfg.start[0])
         y = np.full(m, cfg.start[1])
         t = np.zeros(m)
-        acc = np.zeros((n_support, m))
         dtk_prev = np.zeros(m)
 
         while len(x) > 0:
             dtk = np.minimum(np.maximum(cfg.step_scale * y * y, cfg.dt), cfg.dt_cap)
             bx, by = drift_field(cfg, x, y)
+            end = fill + len(x)
+            buf_idx[fill:end] = idx
             if n_support:
-                h_inv, glx, gly = h_fields(x, y)
-                rows = _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts)
-                # trapezoidal time rule: each state's integrand carries half
-                # of the two adjacent step lengths, which centres the rule
-                # and removes the leading step-size error of the integral
-                acc += rows * (0.5 * (dtk_prev + dtk))
+                buf_x[fill:end] = x
+                buf_y[fill:end] = y
+                buf_bx[fill:end] = bx
+                buf_by[fill:end] = by
+                np.add(dtk_prev, dtk, out=buf_dtsum[fill:end])
             # bound the drift displacement by twice the noise scale: far from
             # the boundary pole this is the identity (no taming bias), near
             # the pole it keeps single steps finite like standard taming
@@ -232,16 +289,13 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
             x_new = x + bx * tame + root * noise_x
             y_new = y + by * tame + root * noise_y
             if occ is not None:
-                # midpoint attribution of the step's time (left-point binning
-                # systematically shifts occupation opposite to the motion);
-                # a path meets one cell per step, so the indices are unique
-                mx = 0.5 * (x + x_new)
-                my = 0.5 * (y + y_new)
-                ix = np.floor((mx - grid.x_min) / wx).astype(np.int64)
-                iy = np.floor((my - grid.y_min) / wy).astype(np.int64)
-                inside = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-                if np.count_nonzero(inside):
-                    occ[idx[inside], iy[inside] * grid.nx + ix[inside]] += dtk[inside]
+                np.add(x, x_new, out=buf_mx[fill:end])
+                np.add(y, y_new, out=buf_my[fill:end])
+                buf_dt[fill:end] = dtk
+            fill = end
+            if fill >= _BATCH:
+                flush(fill)
+                fill = 0
             x = x_new
             y = y_new
             t += dtk
@@ -266,18 +320,16 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
                 lifetimes[sel] = t[done]
                 end_x[sel] = x[done]
                 end_y[sel] = y[done]
-                if n_support:
-                    comp[:, sel] = acc[:, done]
                 keep = ~done
                 x, y, t, idx = x[keep], y[keep], t[keep], idx[keep]
                 dtk = dtk[keep]
-                if n_support:
-                    acc = acc[:, keep]
             dtk_prev = dtk
 
         done_groups += g
         chunk_idx += 1
 
+    if fill:
+        flush(fill)
     return comp, ms, absorbed, lifetimes, (end_x, end_y), occ
 
 
@@ -341,7 +393,7 @@ def occupation_check(cfg: SdeConfig, grid: OccupationGrid,
     """
     if paths < 2:
         raise ValueError("occupation_check needs paths >= 2 for a standard error")
-    _, _, _, _, _, occ = _simulate(None, cfg, paths, grid=grid)
+    _, _, absorbed, _, _, occ = _simulate(None, cfg, paths, grid=grid)
     total_se = float(np.std(occ.sum(axis=1), ddof=1) / math.sqrt(paths))
     if not total_se > 0:
         raise ValueError("every path spent the same time in every cell of the "
@@ -359,7 +411,8 @@ def occupation_check(cfg: SdeConfig, grid: OccupationGrid,
         observed=obs, expected=exp, std_error=se, z=z, paths=paths,
         max_abs_z=float(np.nanmax(np.abs(z))),
         frac_within_3=float(np.mean(np.abs(z) <= 3.0)),
-        chi2=chi2, chi2_z=float(chi2_z), total_z=float(total_z))
+        chi2=chi2, chi2_z=float(chi2_z), total_z=float(total_z),
+        killed_fraction=float(np.mean(absorbed)))
 
 
 def refine_dt(cfg: SdeConfig, factor: float = 0.5) -> SdeConfig:

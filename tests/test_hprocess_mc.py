@@ -29,8 +29,15 @@ def test_config_validation():
     for start in ((math.nan, 1.0), (0.0, math.inf)):   # NaN paths never time out
         with pytest.raises(ValueError):
             SdeConfig(n=0, start=start)
-    with pytest.raises(ValueError):
-        SdeConfig(n=0, start=(0.0, 1.0), max_time=0.0)
+    # a NaN step never reaches max_time and a NaN or empty absorption window
+    # absorbs nothing, so each of these would simulate without end
+    bad = [dict(max_time=v) for v in (0.0, math.inf, math.nan)]
+    bad += [{name: v} for name in ("step_scale", "dt_cap", "match_radius")
+            for v in (0.0, -1.0, math.inf, math.nan)]
+    bad.append(dict(dt=1e-4, dt_cap=5e-5))
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            SdeConfig(n=0, start=(0.0, 1.0), **kwargs)
     cfg = SdeConfig(n=2, start=(0.0, 5.0))
     assert cfg.dt <= cfg.kill_eps ** 2 / 4.0
 
@@ -154,6 +161,19 @@ def test_golden_multichunk_bits():
                for a, b in zip(GOLDEN_MULTICHUNK[2], MULTICHUNK_SUMS_BEFORE))
 
 
+@pytest.mark.parametrize("batch", [1, 5, 63])
+def test_batch_size_leaves_bits_unchanged(monkeypatch, batch):
+    # a flush on every step, and batches below the 64-wide chunk that take
+    # several steps of one path once the chunk thins out: each per-path sum
+    # must still receive its terms one by one, in step order
+    monkeypatch.setattr(mc, "_BATCH", batch)
+    assert _multichunk_digests() == GOLDEN_MULTICHUNK
+    cfg_a = SdeConfig(n=1, start=(TWO_PI, 5.0), seed=4, max_time=2000.0)
+    now, _, killed = ESTIMATE_T_PINS[2]
+    stats = estimate_T(Seq.delta(0), cfg_a, 200, antithetic=True)
+    assert _stats_hex(stats) == (*now, killed)
+
+
 def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
     # the benchmark tracer counts steps and path-steps through this call
     widths = []
@@ -248,6 +268,8 @@ def test_occupation_check_unscored_cells():
     assert rep.chi2 == pytest.approx(np.sum(finite ** 2), rel=1e-15)
     assert rep.chi2_z == (rep.chi2 - finite.size) / math.sqrt(2.0 * finite.size)
     assert rep.frac_within_3 == np.count_nonzero(np.abs(finite) <= 3.0) / rep.z.size
+    # the path never reads the functional, so both modes run the same paths
+    assert rep.killed_fraction == estimate_T(Seq.delta(0), cfg, 2).killed_fraction
     with pytest.raises(ValueError, match="same time"):
         occupation_check(replace(cfg, max_time=1e-3), GOLDEN_GRID, 2)
 
