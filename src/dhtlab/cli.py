@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mass-tol", type=float, default=1e-8)
     p.add_argument("--output", default=None)
 
-    p = sub.add_parser("norms", help="power-method norm sweep")
+    p = sub.add_parser("norms", help="norm lower bounds over truncation radii "
+                       "(Krylov-Schur at p = 2, power iteration otherwise)")
     p.add_argument("--kernel", required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--radii", required=True,

@@ -196,6 +196,7 @@ def strict_json(text):
     ["weaktype", "--budget", "3", "--seed", "1", "--window", "2048"],
     ["mc", "--n", "0", "--y0", "4", "--paths", "300", "--max-time", "500"],
     ["mc", "--mode", "occupation", "--paths", "2"],
+    ["norms", "--kernel", "H", "--p", "2", "--radii", "16,300", "--format", "json"],
 ])
 def test_output_is_strict_json(capsys, argv):
     rc, out = run_cli(capsys, *argv)

@@ -16,6 +16,14 @@ P4 = Exponent(4.0)
 P43 = Exponent(4.0 / 3.0)
 
 
+def _nan_kernel():
+    """H with a NaN at n = 3."""
+    def batch(ns):
+        vals, errs = K.HILBERT.evaluate(ns)
+        return np.where(np.asarray(ns) == 3, np.nan, vals), errs
+    return K.Kernel("H+nan", batch, parity="none", tail_exponent=1.0)
+
+
 def _identity_kernel():
     def batch(ns):
         v = np.where(np.asarray(ns) == 0, 1.0, 0.0).astype(float)
@@ -68,6 +76,9 @@ def test_monotone_history():
                         tol=1e-12)
     h = est.history
     assert all(b >= a - 1e-12 for a, b in zip(h, h[1:]))
+    # p = 2: sqrt(theta_max) rises by interlacing, up to eigh's rounding
+    h = estimate_norm(ConvOperator(K.HILBERT, 128), P2).history
+    assert all(b >= a - 1e-14 for a, b in zip(h, h[1:]))
 
 
 def test_certificate_reproduces_value():
@@ -79,11 +90,48 @@ def test_certificate_reproduces_value():
 
 @pytest.mark.parametrize("N", [64, 256])
 def test_p2_matches_dense_svd(N):
-    op = ConvOperator(K.HILBERT, N)
-    sigma = float(sla.svdvals(op.matrix())[0])
-    est = estimate_norm(op, P2, max_iter=20000, tol=1e-13)
-    assert est.value == pytest.approx(sigma, abs=1e-8)
-    assert est.value <= sigma + 1e-12  # certified lower bound
+    # H and J at the default budget (max_iter 500, tol 1e-9).  KAK's leading
+    # singular values cluster within ~1e-11 of 1, so at tol 1e-9 its Ritz
+    # vector mixes the cluster and its value is only ~2e-11 below sigma;
+    # tol 1e-13 resolves it
+    for kern, tol in ((K.HILBERT, 1e-9), (K.J, 1e-9), (K.KAK, 1e-13)):
+        op = ConvOperator(kern, N)
+        sigma = float(sla.svdvals(op.matrix())[0])
+        est = estimate_norm(op, P2, tol=tol)
+        assert est.converged, kern.name
+        assert abs(est.value - sigma) <= 1e-12 * sigma, kern.name
+
+
+@pytest.mark.parametrize("N", [1, 4, 8])
+def test_p2_space_smaller_than_basis(N):
+    # 2N+1 is at most the Krylov basis size.  Below rounding, at tol 1e-18,
+    # only an invariant subspace (beta = 0) ends a run, by step 2N+1
+    for kern in (K.HILBERT, K.J, K.KAK):
+        op = ConvOperator(kern, N)
+        sigma = float(sla.svdvals(op.matrix())[0])
+        est = estimate_norm(op, P2, tol=1e-18)
+        assert est.converged and est.residual == 0.0, kern.name
+        assert est.iterations <= 2 * N + 1, kern.name
+        assert abs(est.value - sigma) <= 1e-14, kern.name
+        if kern is not K.KAK:      # KAK's leading cluster needs a small tol
+            assert abs(estimate_norm(op, P2).value - sigma) <= 1e-14
+
+
+def test_p2_exhausted_budget():
+    op = ConvOperator(K.J, 256)
+    est = estimate_norm(op, P2, max_iter=3)
+    assert not est.converged
+    assert est.iterations == 3 == len(est.history)
+    assert vector_bound(op, est.certificate, P2) == pytest.approx(est.value,
+                                                                  rel=1e-12)
+
+
+@pytest.mark.parametrize("N", [16, 600])      # direct and FFT matvec
+@pytest.mark.parametrize("p", [4.0 / 3.0, 2.0, 4.0])
+def test_nan_kernel_fails_loudly(p, N):
+    op = ConvOperator(_nan_kernel(), N)
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_norm(op, Exponent(p))
 
 
 def test_duality_agreement():
@@ -135,67 +183,64 @@ def test_estimate_validates_arguments():
 # operator takes that path.  The J rows were recaptured when the |n| < 32
 # entries became correctly rounded literals: the parent's entries through
 # the same code reproduce the former rows bit for bit, and the values moved
-# by -2 to +2 ulps with the same iteration counts.
+# by -2 to +2 ulps with the same iteration counts.  The p = 2 rows were
+# recaptured when p = 2 moved from the power iteration to Krylov-Schur on
+# T'T; their value is checked against a dense SVD in
+# test_p2_matches_dense_svd instead of LINEAR_FFT_PINS.
 ESTIMATE_PINS = {
     ('H', 256, 1.3333333333333333): ('0x1.a3cd72ca1c68bp+0', 12,
         '88df743ce681c832c3de778af4ad48bbb25ae8171bd560854dd6be0a4d0d1d01'),
-    ('H', 256, 2.0): ('0x1.fcafb52cf5247p-1', 200,
-        '323263eda51f52fd638ffbe035ac83ec177026d4f83b5624a2dde63dfae15b7f'),
+    ('H', 256, 2.0): ('0x1.fcb189b9e67abp-1', 67,
+        'ab988eb5f7aba0377e0ef97ed2706e6b7c7b696f341754866484fec44e1680ef'),
     ('H', 256, 4.0): ('0x1.a3cd72ca08050p+0', 10,
         'cc0f6f86927ccd77c476a58d2a216e2eca71fefd29a4dd92536283ce5015263e'),
     ('H', 1024, 1.3333333333333333): ('0x1.c4c0b106d1004p+0', 12,
         '6addfa8a67d344b6c0be59e6c2b3ea5166b1d3b9330bcd140648f97d4eff233f'),
-    ('H', 1024, 2.0): ('0x1.fef9e4604c4c9p-1', 200,
-        '228ee76ce3395fe8b044c924523351463127cdbac05c7b0911fab36aba27cc23'),
+    ('H', 1024, 2.0): ('0x1.ff147726d08cap-1', 133,
+        '5dafb299d98781dc52a22b511e23c275bd91e8f0daac812d4777e0089607a572'),
     ('H', 1024, 4.0): ('0x1.c4c0b1067d539p+0', 10,
         '371b9dd6d635bb19b69da41bdc6690ea613937d88fe56f1b6abf191394043532'),
     ('J', 256, 1.3333333333333333): ('0x1.b9c371d4120aap+0', 11,
         '4b24b9cc14d07d90d038f0d60b236e6eb1f5c75f3a27a31e831263ace3339359'),
-    ('J', 256, 2.0): ('0x1.ffc710020cd13p-1', 200,
-        '7296f19f14692deeb5578ccdf9fd1ebbe7c04cd237ec086cc96b98331f4f5b82'),
+    ('J', 256, 2.0): ('0x1.ffee74b582bd1p-1', 200,
+        '19c2b5f1a99c9bee97dbdcd29a8cb5aa6948fbf2f245d40077b601ec3233e585'),
     ('J', 256, 4.0): ('0x1.b9c371d3f6855p+0', 9,
         '3dd2f9e0274a2fe747d9f4552e784c2fc177f311c302d301dcd48c39d388062b'),
     ('J', 1024, 1.3333333333333333): ('0x1.d69c65337675cp+0', 11,
         '896cad2117c5103de76f7f37082c3abbf6a80e438c124c26994c4ebf27ee3881'),
-    ('J', 1024, 2.0): ('0x1.ffde75ec6b1d8p-1', 200,
-        '91b003e6ab9f264e1176b0785938f1e0f57852f223fcc60fa7cf4361110d34ad'),
+    ('J', 1024, 2.0): ('0x1.fffe383ca8b5bp-1', 200,
+        '9b36241678ccf074f6c4d5be50938e48fe3d89aa9ffd2ee9ce14864c4bfe26ec'),
     ('J', 1024, 4.0): ('0x1.d69c6532de0dbp+0', 9,
         '486e713a10806ee5e1bc541908de8fe98f24eace0e68678c6dd4e10f95e97675'),
     ('K', 256, 1.3333333333333333): ('0x1.d11f8c07a6303p+0', 400,
         '27713b90d5fe1f36a429b65c02f54c9cf1f1dce58be48281ed13cadd77249c73'),
-    ('K', 256, 2.0): ('0x1.fffcbd5398261p-1', 200,
-        '6ba3fac50ceb32236c9d8ce35b2d9710f964c20cc6abee2ffed003a2cd7e24ee'),
+    ('K', 256, 2.0): ('0x1.ffffffffcec63p-1', 23,
+        '88b4285379ff0fc48506233c67cd093fdbecf888d022c5a47d5acf5712b3e03d'),
     ('K', 256, 4.0): ('0x1.d11f87a1046bdp+0', 200,
         '7b7f7a6df3d656f9854f734042da498793b8c013638a4ab31a86122400009f60'),
     ('K', 1024, 1.3333333333333333): ('0x1.e97979ad2bc84p+0', 15,
         '78c6eced19eff040f1e42c2ea3a2ddfdeb93967b71c857a4ed991b4ad7c2987e'),
-    ('K', 1024, 2.0): ('0x1.fffda6bd7724fp-1', 200,
-        '5f32d56f96c9666eaf334919eb084e267d422132341ec47512962f558d8ce418'),
+    ('K', 1024, 2.0): ('0x1.ffffffffe91b2p-1', 36,
+        'c8a4eeb5c93851bccc0cad2a57bedeacdf4c2127976cc9c25442bf0ce231ad60'),
     ('K', 1024, 4.0): ('0x1.e97979a970212p+0', 13,
         'f7956cd1c9107026fe0c65d1645aea718137c281789c9792d97ca4059fbe2267'),
 }
 
-# (value.hex(), iterations) of the same runs on the linear convolution at
+# (value.hex(), iterations) of the p != 2 runs on the linear convolution at
 # next_fast_len(6N+1) on scipy.fft that the circular one replaced: the
 # iteration counts are the same and no value moved by more than 3 ulps
 LINEAR_FFT_PINS = {
     ('H', 256, 1.3333333333333333): ('0x1.a3cd72ca1c68bp+0', 12),
-    ('H', 256, 2.0): ('0x1.fcafb52cf5246p-1', 200),
     ('H', 256, 4.0): ('0x1.a3cd72ca0804fp+0', 10),
     ('H', 1024, 1.3333333333333333): ('0x1.c4c0b106d1003p+0', 12),
-    ('H', 1024, 2.0): ('0x1.fef9e4604c4c7p-1', 200),
     ('H', 1024, 4.0): ('0x1.c4c0b1067d539p+0', 10),
     ('J', 256, 1.3333333333333333): ('0x1.b9c371d4120a9p+0', 11),
-    ('J', 256, 2.0): ('0x1.ffc710020cd13p-1', 200),
     ('J', 256, 4.0): ('0x1.b9c371d3f6854p+0', 9),
     ('J', 1024, 1.3333333333333333): ('0x1.d69c65337675ep+0', 11),
-    ('J', 1024, 2.0): ('0x1.ffde75ec6b1d6p-1', 200),
     ('J', 1024, 4.0): ('0x1.d69c6532de0dap+0', 9),
     ('K', 256, 1.3333333333333333): ('0x1.d11f8c07a6305p+0', 400),
-    ('K', 256, 2.0): ('0x1.fffcbd5398260p-1', 200),
     ('K', 256, 4.0): ('0x1.d11f87a1046bcp+0', 200),
     ('K', 1024, 1.3333333333333333): ('0x1.e97979ad2bc84p+0', 15),
-    ('K', 1024, 2.0): ('0x1.fffda6bd77251p-1', 200),
     ('K', 1024, 4.0): ('0x1.e97979a970212p+0', 13),
 }
 
@@ -212,6 +257,7 @@ def _estimate_pin(est):
 def test_estimate_norm_golden_bits(name, n, p):
     est = estimate_norm(ConvOperator(K.KERNELS[name], n), Exponent(p), max_iter=200)
     assert _estimate_pin(est) == ESTIMATE_PINS[name, n, p]
-    value, iterations = LINEAR_FFT_PINS[name, n, p]
-    assert est.iterations == iterations
-    assert abs(est.value - float.fromhex(value)) <= 4 * math.ulp(est.value)
+    if p != 2.0:
+        value, iterations = LINEAR_FFT_PINS[name, n, p]
+        assert est.iterations == iterations
+        assert abs(est.value - float.fromhex(value)) <= 4 * math.ulp(est.value)
