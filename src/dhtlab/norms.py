@@ -121,12 +121,16 @@ _KEEP = 8            # Ritz vectors kept across a restart
 _DGKS = math.sqrt(0.5)  # pass again if ||w|| falls below this share of ||T'Tv||
 
 
-def _gram_schmidt(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _gram_schmidt(basis: np.ndarray, w: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """One classical Gram-Schmidt pass of w against the orthonormal rows of
-    ``basis``, in place; returns the coefficients."""
-    h = basis @ w
-    w -= h @ basis
+    ``basis``, in place, using the row ``tmp``; returns the coefficients."""
+    h = np.einsum("ij,j->i", basis, w)
+    w -= np.einsum("i,ij->j", h, basis, out=tmp)
     return h
+
+
+def _norm2(w: np.ndarray) -> float:
+    return math.sqrt(np.einsum("i,i->", w, w))
 
 
 def _krylov_schur(op: ConvOperator, e: Exponent, max_iter: int, tol: float,
@@ -144,18 +148,25 @@ def _krylov_schur(op: ConvOperator, e: Exponent, max_iter: int, tol: float,
     direction.  The run stops when the top Ritz pair (theta, u) has
     ||Au - theta u|| / theta = beta |s_last| / theta <= tol, or on beta = 0.
 
-    The basis rows and the restart's Ritz rows live in one anonymous mapping
-    outside the malloc heap (2.2 MB at N = 4096), unmapped when the run
-    ends.  A malloc block that size would raise glibc's dynamic mmap
-    threshold, and separate malloc rows would grow the heap; either way
+    The basis rows, the restart's Ritz rows and one scratch row live in one
+    anonymous mapping outside the malloc heap (2.3 MB at N = 4096), unmapped
+    when the run ends.  A malloc block that size would raise glibc's dynamic
+    mmap threshold, and separate malloc rows would grow the heap; either way
     later allocations in a long-lived process would run in another heap
     state (perfbench's in-process speed probe reads that as host speed).
+
+    Every product and inner product on the basis is an ``einsum``, which
+    never calls BLAS.  OpenBLAS runs a gemv or gemm this size on its thread
+    pool, and the pool's workers then spin for a while after the call
+    returns: at N = 4096 they burnt about as much CPU as the solver itself,
+    much of it during whatever the caller ran next, which on a 2-core host
+    ran up to 2x slower.
     """
     n = op.window_radius
     size = 2 * n + 1
-    store = np.frombuffer(mmap.mmap(-1, 8 * size * (_BASIS + 1 + _KEEP)),
+    store = np.frombuffer(mmap.mmap(-1, 8 * size * (_BASIS + 1 + _KEEP + 1)),
                           dtype=float).reshape(-1, size)
-    basis, ritz = store[:_BASIS + 1], store[_BASIS + 1:]
+    basis, ritz, tmp = store[:_BASIS + 1], store[_BASIS + 1:-1], store[-1]
     v = _seed_vector(n, 2.0, seed)
     np.divide(v, _dense_lp(v, 2.0), out=basis[0])
     k = 1                                   # rows of basis in use
@@ -163,15 +174,15 @@ def _krylov_schur(op: ConvOperator, e: Exponent, max_iter: int, tol: float,
     history: list[float] = []
     for step in range(1, max_iter + 1):
         w = op.apply_adjoint_dense(op.apply_dense(basis[k - 1]))
-        norm = math.sqrt(w @ w)
+        norm = _norm2(w)
         if not math.isfinite(norm):
             raise ValueError(f"non-finite ||T'T v|| = {norm!r} in the "
                              "Lanczos iteration")
-        h = _gram_schmidt(basis[:k], w)
-        beta = math.sqrt(w @ w)
+        h = _gram_schmidt(basis[:k], w, tmp)
+        beta = _norm2(w)
         if beta < _DGKS * norm:
-            h += _gram_schmidt(basis[:k], w)
-            beta, prev = math.sqrt(w @ w), beta
+            h += _gram_schmidt(basis[:k], w, tmp)
+            beta, prev = _norm2(w), beta
             if beta < _DGKS * prev:
                 beta = 0.0
         proj[k - 1, :k] = h
@@ -190,13 +201,13 @@ def _krylov_schur(op: ConvOperator, e: Exponent, max_iter: int, tol: float,
         np.divide(w, beta, out=basis[k])
         k += 1
         if k > _BASIS:
-            np.matmul(vecs[:, -_KEEP:].T, basis[:_BASIS], out=ritz)
+            np.einsum("ik,ij->kj", vecs[:, -_KEEP:], basis[:_BASIS], out=ritz)
             basis[:_KEEP] = ritz
             basis[_KEEP] = basis[_BASIS]
             proj[:_KEEP, :_KEEP] = np.diag(theta[-_KEEP:])
             k = _KEEP + 1
 
-    u = s @ basis[:k]
+    u = np.einsum("i,ij->j", s, basis[:k])
     value = _dense_lp(op.apply_dense(u), 2.0) / _dense_lp(u, 2.0)
     return NormEstimate(value=value, certificate=Seq(-n, u), p=e,
                         window_radius=n, iterations=len(history),

@@ -191,37 +191,37 @@ ESTIMATE_PINS = {
     ('H', 256, 1.3333333333333333): ('0x1.a3cd72ca1c68bp+0', 12,
         '88df743ce681c832c3de778af4ad48bbb25ae8171bd560854dd6be0a4d0d1d01'),
     ('H', 256, 2.0): ('0x1.fcb189b9e67abp-1', 67,
-        'ab988eb5f7aba0377e0ef97ed2706e6b7c7b696f341754866484fec44e1680ef'),
+        '436dc42c5c5ae64b98da155a6d29ce1bfc70224cabf92c80797380bc377572ca'),
     ('H', 256, 4.0): ('0x1.a3cd72ca08050p+0', 10,
         'cc0f6f86927ccd77c476a58d2a216e2eca71fefd29a4dd92536283ce5015263e'),
     ('H', 1024, 1.3333333333333333): ('0x1.c4c0b106d1004p+0', 12,
         '6addfa8a67d344b6c0be59e6c2b3ea5166b1d3b9330bcd140648f97d4eff233f'),
-    ('H', 1024, 2.0): ('0x1.ff147726d08cap-1', 133,
-        '5dafb299d98781dc52a22b511e23c275bd91e8f0daac812d4777e0089607a572'),
+    ('H', 1024, 2.0): ('0x1.ff147726d08cbp-1', 133,
+        '363fd83d8239db84df842bda005d9fc7dc6ff0835232b4071419d6082aad0eb6'),
     ('H', 1024, 4.0): ('0x1.c4c0b1067d539p+0', 10,
         '371b9dd6d635bb19b69da41bdc6690ea613937d88fe56f1b6abf191394043532'),
     ('J', 256, 1.3333333333333333): ('0x1.b9c371d4120aap+0', 11,
         '4b24b9cc14d07d90d038f0d60b236e6eb1f5c75f3a27a31e831263ace3339359'),
     ('J', 256, 2.0): ('0x1.ffee74b582bd1p-1', 200,
-        '19c2b5f1a99c9bee97dbdcd29a8cb5aa6948fbf2f245d40077b601ec3233e585'),
+        '25d93dcf4bd79895126e4146d9480cbfb56446000d49b7f06d60f2bde4ce8fac'),
     ('J', 256, 4.0): ('0x1.b9c371d3f6855p+0', 9,
         '3dd2f9e0274a2fe747d9f4552e784c2fc177f311c302d301dcd48c39d388062b'),
     ('J', 1024, 1.3333333333333333): ('0x1.d69c65337675cp+0', 11,
         '896cad2117c5103de76f7f37082c3abbf6a80e438c124c26994c4ebf27ee3881'),
-    ('J', 1024, 2.0): ('0x1.fffe383ca8b5bp-1', 200,
-        '9b36241678ccf074f6c4d5be50938e48fe3d89aa9ffd2ee9ce14864c4bfe26ec'),
+    ('J', 1024, 2.0): ('0x1.fffe383ca8b5dp-1', 200,
+        '9ac0bc3ff0c2357ffbddde0af9dbb20e44c528ed644191c8310ee72eff2991b3'),
     ('J', 1024, 4.0): ('0x1.d69c6532de0dbp+0', 9,
         '486e713a10806ee5e1bc541908de8fe98f24eace0e68678c6dd4e10f95e97675'),
     ('K', 256, 1.3333333333333333): ('0x1.d11f8c07a6303p+0', 400,
         '27713b90d5fe1f36a429b65c02f54c9cf1f1dce58be48281ed13cadd77249c73'),
-    ('K', 256, 2.0): ('0x1.ffffffffcec63p-1', 23,
-        '88b4285379ff0fc48506233c67cd093fdbecf888d022c5a47d5acf5712b3e03d'),
+    ('K', 256, 2.0): ('0x1.ffffffffcec61p-1', 23,
+        '37386e92886f98e01bd92995b3e4af28af8748f6a5dc9bed59c290b08a8805b7'),
     ('K', 256, 4.0): ('0x1.d11f87a1046bdp+0', 200,
         '7b7f7a6df3d656f9854f734042da498793b8c013638a4ab31a86122400009f60'),
     ('K', 1024, 1.3333333333333333): ('0x1.e97979ad2bc84p+0', 15,
         '78c6eced19eff040f1e42c2ea3a2ddfdeb93967b71c857a4ed991b4ad7c2987e'),
-    ('K', 1024, 2.0): ('0x1.ffffffffe91b2p-1', 36,
-        'c8a4eeb5c93851bccc0cad2a57bedeacdf4c2127976cc9c25442bf0ce231ad60'),
+    ('K', 1024, 2.0): ('0x1.ffffffffe9291p-1', 36,
+        '49502edf6acd38456593cd8a1f5b4d34a35392255e37ad6586cd779e6bd771fd'),
     ('K', 1024, 4.0): ('0x1.e97979a970212p+0', 13,
         'f7956cd1c9107026fe0c65d1645aea718137c281789c9792d97ca4059fbe2267'),
 }
