@@ -90,10 +90,6 @@ class Seq:
     def shift(self, s: int) -> "Seq":
         return Seq(self.offset + s, self.values)
 
-    def restrict(self, radius: int) -> "Seq":
-        """P_N: zero out entries with |n| > radius."""
-        return Seq(-radius, self.to_dense(-radius, radius))
-
     def scale(self, c: float) -> "Seq":
         return Seq(self.offset, self.values * c)
 
@@ -186,7 +182,8 @@ def convolve(k: Kernel, a: Seq, out_radius: int) -> Seq:
 
     Kernel entries are read only on the index range actually touched by the
     support of ``a``, so truncated operators never see entries beyond
-    |m| <= 2N for inputs inside [-N, N].
+    |m| <= 2N for inputs inside [-N, N].  They are read by one
+    ``k.window_range`` call, the only method of ``k`` used.
     """
     if out_radius < 1:
         raise ValueError("out_radius must be >= 1")

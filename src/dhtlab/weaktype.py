@@ -78,11 +78,17 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     The support must lie strictly inside the window (edge >= 1), and every
     entry of ``a`` must be finite.
 
-    The lambda scan sorts the nonzero |Ta_n| in descending order once: at
-    the i-th of them the count of entries >= it is i + 1, and within a run
-    of equal values lambda * count peaks only at the run's last entry, so
-    the first maximum is the one a scan over distinct values picks (ties go
-    to the largest lambda), with the same products.
+    ``k`` is read only through ``window_range(lo, hi)``, on the index range
+    ``convolve`` touches and at the four tail distances, so a ``Kernel`` or
+    any object whose ``window_range`` returns the same entries will do.  A
+    non-finite kernel entry fails loudly: NaN or inf in |Ta_n| and a
+    non-finite tail bound each raise ``ValueError``.
+
+    The lambda scan sorts |Ta_n| once and walks its nonzero entries in
+    descending order: at the i-th of them the count of entries >= it is
+    i + 1, and within a run of equal values lambda * count peaks only at the
+    run's last entry, so the first maximum is the one a scan over distinct
+    values picks (ties go to the largest lambda), with the same products.
     """
     if not np.all(np.isfinite(a.values)):
         raise ValueError("sequence has non-finite entries (NaN or inf)")
@@ -97,18 +103,25 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     l1 = float(np.sum(np.abs(at.values)))
     u = Seq(at.offset, at.values / l1)
 
-    out = convolve(k, u, window)
-    mag = np.abs(out.values)
-    mag = mag[mag > 0.0]
-    if len(mag) == 0:
+    mag = np.abs(convolve(k, u, window).values)
+    # timsort runs along the monotone far field; NaN sorts last
+    mag.sort(kind="stable")
+    nz = np.count_nonzero(mag)
+    if nz == 0:
         raise ValueError("transform vanishes identically on the window")
-    lambdas = np.sort(mag)[::-1] * (1.0 - _LAMBDA_NUDGE)  # descending
-    ratios = lambdas * np.arange(1.0, len(mag) + 1.0)     # count >= lambdas[i] is i + 1
+    if not math.isfinite(mag[-1]):
+        raise ValueError("transform has a non-finite entry (a NaN or infinite "
+                         "kernel entry in the window)")
+    lambdas = mag[::-1][:nz] * (1.0 - _LAMBDA_NUDGE)    # the nz largest, descending
+    ratios = lambdas * np.arange(1.0, nz + 1.0)         # count >= lambdas[i] is i + 1
     best = int(np.argmax(ratios))           # ties resolve to the largest lambda
 
     near = np.concatenate([k.window_range(-edge - 1, -edge),
                            k.window_range(edge, edge + 1)])
     tail_bound = float(np.max(np.abs(near)))
+    if not math.isfinite(tail_bound):
+        raise ValueError(f"non-finite kernel entry at distance {edge} or "
+                         f"{edge + 1}; no tail bound")
     limited = bool(tail_bound >= lambdas[best])
     note = (f"|Ta_n| <= {tail_bound:.3e} outside the window "
             f"(kernel bound at distance {edge})")
@@ -167,6 +180,23 @@ def _report_best(best: WeakTypeReport) -> WeakTypeReport:
     return best
 
 
+class _KernelWindow:
+    """A kernel's entries on [-radius, radius], read once into a read-only
+    array: the ``window_range`` that ``weak_ratio`` and ``convolve`` call,
+    answered with views of that array."""
+
+    def __init__(self, k: Kernel, radius: int):
+        self._vals = k.window(radius)
+        self._vals.setflags(write=False)
+        self._radius = radius
+
+    def window_range(self, lo: int, hi: int) -> np.ndarray:
+        r = self._radius
+        if not -r <= lo <= hi <= r:
+            raise ValueError(f"range [{lo}, {hi}] outside the window of radius {r}")
+        return self._vals[lo + r: hi + 1 + r]
+
+
 def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
                          window: int = 16384) -> WeakTypeReport:
     """Empirical lower-bound search for the weak-type constant.
@@ -178,12 +208,13 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
     none and is rejected).  Deterministic given the seed; returns the
     largest ratio found and never claims an upper bound.
 
-    The kernel is evaluated once per search: every candidate's window and
-    tail reads lie in [-window - s, window + s] for the family's largest
-    support radius s, so a search-local copy of ``k``, cached that far and
-    filled up front, serves each ``weak_ratio`` from its cache.  An entry's
-    bits do not depend on the range that asked for it, so the reports are
-    those of ``k`` itself.
+    ``k`` is read once per search, by ``k.window(window + s + 1)`` for the
+    family's largest support radius s: every candidate's window and tail
+    reads lie in that range, and each ``weak_ratio`` reads views of the one
+    read-only array.  An entry's bits do not depend on the range that asked
+    for it, so the reports are those of ``weak_ratio`` on ``k`` itself.  A
+    non-finite entry that a candidate reads raises ``ValueError`` (see
+    ``weak_ratio``).
     """
     if budget < 1:
         raise ValueError("budget >= 1 required")
@@ -195,9 +226,7 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
                "discretized_bumps": window // 4}.get(family)
     if support is None:
         raise ValueError(f"unknown family {family!r}")
-    k = Kernel(k.name, k.evaluate, parity=k.parity,
-               tail_exponent=k.tail_exponent, cache_radius=window + support + 1)
-    k.window(k.cache_radius)                # the one evaluation
+    k = _KernelWindow(k, window + support + 1)
 
     if family == "random_signs":
         rng = np.random.default_rng(seed)

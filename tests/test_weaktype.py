@@ -256,19 +256,69 @@ def test_sort_scan_matches_unique_scan(kernel, entries):
     assert rep.count_at_lambda == count
 
 
-def test_search_evaluates_kernel_once_per_run():
+def test_search_evaluates_kernel_once_per_run(monkeypatch):
     calls = []
+    candidates = []
+    weak_ratio = W.weak_ratio
 
+    def recording(kw, a, window, sequence_id=""):
+        rep = weak_ratio(kw, a, window, sequence_id)
+        candidates.append((a, window, rep))
+        return rep
+
+    monkeypatch.setattr(W, "weak_ratio", recording)
+    # KAK brings zeros and ties, RT no parity
+    for name in ("H", "J", "K", "RT"):
+        orig = K.KERNELS[name]
+
+        def batch(ns):
+            calls.append(len(ns))
+            return orig.evaluate(ns)
+
+        # a small cache radius: every candidate's window lies beyond it
+        k = K.Kernel(name, batch, parity=orig.parity, tail_exponent=1.0,
+                     cache_radius=16)
+        for family, budget in (("random_signs", 12), ("greedy_atoms", 12),
+                               ("discretized_bumps", 6)):
+            calls.clear()
+            candidates.clear()
+            rep = W.search_weak_constant(k, family, budget, seed=1, window=2048)
+            assert len(calls) == 1, (name, family)
+            # each candidate's report is weak_ratio's on the original kernel
+            assert len(candidates) >= 6, (name, family)
+            for a, window, cand in candidates:
+                assert cand == weak_ratio(orig, a, window, cand.sequence_id)
+            assert rep in [cand for _, _, cand in candidates]
+            assert rep.ratio == max(cand.ratio for _, _, cand in candidates)
+
+
+def _nan_kernel(bad):
+    """H with NaN at the indices where ``bad(n)`` holds."""
     def batch(ns):
-        calls.append(len(ns))
-        return K.HILBERT.evaluate(ns)
+        vals, errs = K.HILBERT.evaluate(ns)
+        return np.where(bad(np.asarray(ns)), np.nan, vals), errs
+    return K.Kernel("H", batch, parity="odd", tail_exponent=1.0)
 
-    # a small cache radius: every candidate's window lies beyond it
-    k = K.Kernel("H", batch, parity="odd", tail_exponent=1.0, cache_radius=16)
-    for family, budget in (("random_signs", 12), ("greedy_atoms", 12),
-                           ("discretized_bumps", 6)):
-        calls.clear()
-        rep = W.search_weak_constant(k, family, budget, seed=1, window=2048)
-        assert len(calls) == 1, family
-        assert rep == W.search_weak_constant(K.HILBERT, family, budget, seed=1,
-                                             window=2048)
+
+# a unit atom convolves directly, a bump of 1023 samples through the FFT
+@pytest.mark.parametrize("a", [Seq.delta(0),
+                               W.discretized_sequence(W.smooth_bump, 1 / 512,
+                                                      0.0, 512)],
+                         ids=["direct", "fft"])
+def test_weak_ratio_rejects_nan_kernel_entry(a):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        W.weak_ratio(_nan_kernel(lambda n: n == 3), a, 2048)
+
+
+def test_weak_ratio_rejects_nan_tail_bound():
+    # the convolution reads |n| <= 100 only; the tail bound reads 100 and 101
+    with pytest.raises(ValueError, match="no tail bound"):
+        W.weak_ratio(_nan_kernel(lambda n: np.abs(n) > 100), Seq.delta(0), 100)
+
+
+@pytest.mark.parametrize("family", ["random_signs", "greedy_atoms",
+                                    "discretized_bumps"])
+def test_search_rejects_nan_kernel_entry(family):
+    with pytest.raises(ValueError, match="non-finite entry"):
+        W.search_weak_constant(_nan_kernel(lambda n: n == 3), family, 5,
+                               window=200)
