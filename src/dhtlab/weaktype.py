@@ -104,16 +104,20 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     u = Seq(at.offset, at.values / l1)
 
     mag = np.abs(convolve(k, u, window).values)
-    # timsort runs along the monotone far field; NaN sorts last
+    # timsort runs along the monotone far field; zeros sort first, NaN last
     mag.sort(kind="stable")
-    nz = np.count_nonzero(mag)
+    nz = len(mag) - int(np.searchsorted(mag, 0.0, side="right"))
     if nz == 0:
         raise ValueError("transform vanishes identically on the window")
     if not math.isfinite(mag[-1]):
         raise ValueError("transform has a non-finite entry (a NaN or infinite "
                          "kernel entry in the window)")
-    lambdas = mag[::-1][:nz] * (1.0 - _LAMBDA_NUDGE)    # the nz largest, descending
-    ratios = lambdas * np.arange(1.0, nz + 1.0)         # count >= lambdas[i] is i + 1
+    # in place: a fresh window-sized array can mean fresh pages from the
+    # system, faulted in on first touch, on every candidate
+    lambdas = mag[::-1][:nz]                # the nz largest, descending
+    lambdas *= 1.0 - _LAMBDA_NUDGE
+    ratios = np.arange(1.0, nz + 1.0)       # count >= lambdas[i] is i + 1
+    ratios *= lambdas
     best = int(np.argmax(ratios))           # ties resolve to the largest lambda
 
     near = np.concatenate([k.window_range(-edge - 1, -edge),
