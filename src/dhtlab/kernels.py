@@ -20,14 +20,14 @@ share the work:
   errors, plus the remainder M_K / a^(2K+2), plus 4 eps |v| for the rounding
   of the evaluation: a bound.
 
-No quadrature runs at import or evaluation time, and importing this module
-loads numpy only.
+A ``Kernel`` keeps no cache: every read evaluates, at any radius, and an
+index outside int64 raises.  No quadrature runs at import or evaluation
+time, and importing this module loads numpy only.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -155,79 +155,52 @@ def _literal_or_series(ms, literals, series):
     return vals, errs
 
 
+def _index(n) -> int:
+    """``n`` as an int.  ValueError unless it is integral with |n| and n + 1
+    in int64, so that neither ``np.abs`` nor ``hi + 1`` can wrap."""
+    if not 1 - 2 ** 63 <= n < 2 ** 63 - 1 or n != int(n):
+        raise ValueError(f"kernel index {n!r} is not an integer in [-2^63 + 1, 2^63 - 2]")
+    return int(n)
+
+
 class Kernel:
     """A doubly-infinite kernel given by a batch generator (a closed form, or
-    literals and a series), with parity and tail-decay metadata and a cached
-    window.
+    literals and a series) and its parity.
 
-    The cache fill is idempotent (each entry recomputes to the same bits), so
+    It keeps no state: every read is one generator call on the indices read.
+    An entry's bits depend on its index alone, the same in any window, and
     concurrent readers are safe.
     """
 
-    def __init__(self, name: str, batch_fn, parity: str, tail_exponent: float,
-                 cache_radius: int = 4096):
+    # Not read by dhtlab; the benchmark harness splits its entry counts here.
+    cache_radius = 4096
+
+    def __init__(self, name: str, batch_fn, parity: str):
         if parity not in ("odd", "even", "none"):
             raise ValueError(f"bad parity {parity!r}")
         self.name = name
         self.parity = parity
-        self.tail_exponent = tail_exponent
-        self.cache_radius = cache_radius
         self._batch_fn = batch_fn
-        self._vals = None
-        self._errs = None
-        self._lock = threading.Lock()
-
-    # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, ns):
-        """Values and error bars at the indices ``ns``, bypassing the cache."""
+        """Values and error bars at the indices ``ns``."""
         vals, errs = self._batch_fn(np.asarray(ns, dtype=np.int64))
         return np.asarray(vals, dtype=float), np.asarray(errs, dtype=float)
 
-    def _ensure_cache(self):
-        if self._vals is None:
-            with self._lock:
-                if self._vals is None:
-                    size = 2 * self.cache_radius + 1
-                    self._errs = np.full(size, np.nan)
-                    vals = np.full(size, np.nan)
-                    self._vals = vals
-
-    def _fill(self, lo: int, hi: int):
-        """Fill cache entries for n in [lo, hi] (clipped to the cache)."""
-        self._ensure_cache()
-        lo = max(lo, -self.cache_radius)
-        hi = min(hi, self.cache_radius)
+    def _read(self, lo, hi):
+        lo, hi = _index(lo), _index(hi)
         if lo > hi:
-            return
-        c = self.cache_radius
-        missing = np.isnan(self._vals[lo + c: hi + 1 + c])
-        if missing.any():
-            ns = np.flatnonzero(missing) + lo
-            vals, errs = self.evaluate(ns)
-            self._vals[ns + c] = vals
-            self._errs[ns + c] = errs
+            raise ValueError("empty window")
+        return self.evaluate(np.arange(lo, hi + 1))
 
     def value(self, n: int) -> float:
-        n = int(n)
-        if abs(n) <= self.cache_radius:
-            self._fill(n, n)
-            return float(self._vals[n + self.cache_radius])
-        vals, _ = self.evaluate(np.array([n]))
-        return float(vals[0])
+        return float(self._read(n, n)[0][0])
 
     __call__ = value
 
     def window_range(self, lo: int, hi: int):
         """Values for n = lo..hi inclusive, as a dense array."""
-        lo, hi = int(lo), int(hi)
-        if lo > hi:
-            raise ValueError("empty window")
-        if -self.cache_radius <= lo and hi <= self.cache_radius:
-            self._fill(lo, hi)
-            return self._vals[lo + self.cache_radius: hi + 1 + self.cache_radius].copy()
-        vals, _ = self.evaluate(np.arange(lo, hi + 1))
-        return vals
+        return self._read(lo, hi)[0]
 
     def window(self, radius: int):
         """Values for n = -radius..radius."""
@@ -237,18 +210,12 @@ class Kernel:
 
     def error_window(self, radius: int):
         """Per-entry error bars for n = -radius..radius."""
-        radius = int(radius)
         if radius < 0:
             raise ValueError(f"radius must be >= 0, got {radius}")
-        if radius <= self.cache_radius:
-            self._fill(-radius, radius)
-            c = self.cache_radius
-            return self._errs[c - radius: c + radius + 1].copy()
-        _, errs = self.evaluate(np.arange(-radius, radius + 1))
-        return errs
+        return self._read(-radius, radius)[1]
 
     def __repr__(self):
-        return f"Kernel({self.name!r}, parity={self.parity}, tail={self.tail_exponent})"
+        return f"Kernel({self.name!r}, parity={self.parity})"
 
 
 # -- closed-form batch generators ---------------------------------------------
@@ -318,13 +285,13 @@ def _e_batch(ns):
     return vals[inv], errs[inv]
 
 
-HILBERT = Kernel("H", _hilbert_batch, parity="odd", tail_exponent=1.0)
-RT = Kernel("RT", _rt_batch, parity="none", tail_exponent=1.0)
-KAK = Kernel("K", _kak_batch, parity="odd", tail_exponent=1.0)
-ADP = Kernel("ADP", _adp_batch, parity="odd", tail_exponent=1.0)
-J = Kernel("J", _j_batch, parity="odd", tail_exponent=1.0)
-F = Kernel("F", _f_batch, parity="odd", tail_exponent=3.0)
-E = Kernel("E", _e_batch, parity="even", tail_exponent=2.0)
+HILBERT = Kernel("H", _hilbert_batch, parity="odd")
+RT = Kernel("RT", _rt_batch, parity="none")
+KAK = Kernel("K", _kak_batch, parity="odd")
+ADP = Kernel("ADP", _adp_batch, parity="odd")
+J = Kernel("J", _j_batch, parity="odd")
+F = Kernel("F", _f_batch, parity="odd")
+E = Kernel("E", _e_batch, parity="even")
 
 KERNELS = {k.name: k for k in (HILBERT, RT, KAK, ADP, J, F, E)}
 

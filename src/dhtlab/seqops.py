@@ -203,8 +203,7 @@ def adjoint_kernel(k: Kernel) -> Kernel:
     """Kernel of the transposed operator: n -> k(-n)."""
     def batch(ns):
         return k.evaluate(-np.asarray(ns))
-    return Kernel(k.name + "^T", batch, parity=k.parity,
-                  tail_exponent=k.tail_exponent, cache_radius=k.cache_radius)
+    return Kernel(k.name + "^T", batch, parity=k.parity)
 
 
 def scale_kernel(k: Kernel, c: float) -> Kernel:
@@ -212,8 +211,7 @@ def scale_kernel(k: Kernel, c: float) -> Kernel:
     def batch(ns):
         vals, errs = k.evaluate(ns)
         return c * vals, abs(c) * errs
-    return Kernel(f"{c}*{k.name}", batch, parity=k.parity,
-                  tail_exponent=k.tail_exponent, cache_radius=k.cache_radius)
+    return Kernel(f"{c}*{k.name}", batch, parity=k.parity)
 
 
 @functools.lru_cache(maxsize=1)

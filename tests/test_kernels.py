@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -123,29 +125,108 @@ def test_window_beyond_cache_consistent():
     assert w[1] == pytest.approx(1.0 / (math.pi * r), rel=1e-15)
 
 
-def test_partly_filled_cache_read_bitwise():
+def _counted(kernel):
+    """A copy of ``kernel`` that records each batch its generator is given."""
     calls = []
 
     def batch(ns):
         calls.append(ns.copy())
-        return K.J.evaluate(ns)
+        return kernel.evaluate(ns)
 
-    k = K.Kernel("J", batch, parity="odd", tail_exponent=1.0, cache_radius=64)
-    k.window_range(-10, 10)
-    got = k.window_range(-20, 20)
-    vals, errs = K.J.evaluate(np.arange(-20, 21))
-    assert got.tobytes() == vals.tobytes()
-    assert k.error_window(20).tobytes() == errs.tobytes()
-    # the second read evaluates only the 20 entries the first left missing
-    assert np.array_equal(calls[1], np.r_[-20:-10, 11:21])
-    assert len(calls) == 2
+    return K.Kernel(kernel.name, batch, parity=kernel.parity), calls
+
+
+@pytest.mark.parametrize("orig", [K.J, K.E, K.F], ids=["J", "E", "F"])
+def test_every_read_is_one_evaluation_bitwise(orig):
+    # nothing is kept between reads: each one, inside, across or past
+    # |n| = 4096, is one generator call on exactly its indices and returns
+    # the bits of ``evaluate`` there, and reading again evaluates again
+    k, calls = _counted(orig)
+    reads = [(k.window_range, (lo, hi), np.arange(lo, hi + 1), 0)
+             for lo, hi in ((-10, 10), (-20, 20), (4000, 4200),
+                            (-4200, -4090), (5000, 5100))]
+    reads += [(method, (r,), np.arange(-r, r + 1), part)
+              for r in (20, 4096, 4097, 5000)
+              for method, part in ((k.window, 0), (k.error_window, 1))]
+    reads += [(k.value, (n,), np.array([n]), 0) for n in (7, -4096, 4097, -10 ** 6)]
+    for read, args, ns, part in reads:
+        want = orig.evaluate(ns)[part]
+        for _ in range(2):
+            calls.clear()
+            got = np.asarray(read(*args))
+            assert len(calls) == 1, (read.__name__, args)
+            assert np.array_equal(calls[0], ns), (read.__name__, args)
+            assert got.tobytes() == want.tobytes(), (read.__name__, args)
+
+
+def test_concurrent_readers_get_the_bits_of_evaluate():
+    # 4 threads (more than cores, switching often) read overlapping J and
+    # E windows, 20 rounds each
+    ranges = ((-5000, 5000), (-100, 4200), (3000, 5000), (-40, 40))
+    want = {(k.name, lo, hi): k.evaluate(np.arange(lo, hi + 1))[0]
+            for k in (K.J, K.E) for lo, hi in ranges}
+    want_errs = {(k.name, r): k.evaluate(np.arange(-r, r + 1))[1]
+                 for k in (K.J, K.E) for _, r in ranges}
+    start = threading.Barrier(4, timeout=60)
+
+    def reader(t):
+        start.wait()
+        bad = []
+        for i in range(20):
+            lo, hi = ranges[(t + i) % len(ranges)]
+            for k in (K.J, K.E):
+                if k.window_range(lo, hi).tobytes() != want[k.name, lo, hi].tobytes():
+                    bad.append((k.name, lo, hi))
+                if k.error_window(hi).tobytes() != want_errs[k.name, hi].tobytes():
+                    bad.append((k.name, hi))
+        return bad
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            found = list(pool.map(reader, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [b for bad in found for b in bad] == []
+
+
+@pytest.mark.parametrize("read", [
+    lambda: K.HILBERT.value(2 ** 63),
+    lambda: K.HILBERT.window_range(2 ** 63 - 2, 2 ** 63),
+    lambda: K.J.value(-2 ** 63),
+    lambda: K.E.value(-2 ** 63),
+    lambda: K.J.window_range(2 ** 63 - 2, 2 ** 63 - 1),
+    lambda: K.J.error_window(2 ** 63),
+    lambda: K.HILBERT.value(2 ** 64),
+    lambda: K.J.value(1.5),
+    lambda: K.J.value(math.nan),
+    lambda: K.J.value(math.inf),
+], ids=["H+2^63", "H-range-past-2^63", "J-2^63", "E-2^63", "J-hi+1-overflows",
+        "J-error-radius-2^63", "H-2^64", "J-1.5", "J-nan", "J-inf"])
+def test_reads_reject_indices_outside_int64(read):
+    # these once wrapped (a wrong sign), raised IndexError or OverflowError,
+    # or truncated 1.5 to 1
+    with pytest.raises(ValueError, match="kernel index"):
+        read()
+
+
+@pytest.mark.parametrize("kernel", list(K.KERNELS.values()), ids=list(K.KERNELS))
+def test_reads_at_the_int64_edges(kernel):
+    for n in (2 ** 62, -(2 ** 63 - 1), 2 ** 63 - 2):
+        want, _ = kernel.evaluate([n])
+        assert np.float64(kernel.value(n)).tobytes() == want.tobytes(), n
+    got = kernel.window_range(2 ** 63 - 4, 2 ** 63 - 2)
+    assert got.tobytes() == kernel.evaluate(np.arange(2 ** 63 - 4, 2 ** 63 - 1))[0].tobytes()
+    # integral floats and numpy integers are indices too
+    assert kernel.value(3.0) == kernel.value(np.int64(3)) == kernel.value(3)
 
 
 def test_parity_flags():
     assert K.J.parity == "odd" and K.E.parity == "even"
     assert K.RT.parity == "none"
     with pytest.raises(ValueError):
-        K.Kernel("bad", lambda ns: (ns, ns), parity="weird", tail_exponent=1)
+        K.Kernel("bad", lambda ns: (ns, ns), parity="weird")
 
 
 def test_error_windows_are_small():

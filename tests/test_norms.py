@@ -21,14 +21,14 @@ def _nan_kernel():
     def batch(ns):
         vals, errs = K.HILBERT.evaluate(ns)
         return np.where(np.asarray(ns) == 3, np.nan, vals), errs
-    return K.Kernel("H+nan", batch, parity="none", tail_exponent=1.0)
+    return K.Kernel("H+nan", batch, parity="none")
 
 
 def _identity_kernel():
     def batch(ns):
         v = np.where(np.asarray(ns) == 0, 1.0, 0.0).astype(float)
         return v, np.zeros_like(v)
-    return K.Kernel("I", batch, parity="even", tail_exponent=99.0)
+    return K.Kernel("I", batch, parity="even")
 
 
 def test_vector_bound_examples():
@@ -66,7 +66,7 @@ def test_zero_operator_estimate():
     def batch(ns):
         z = np.zeros(len(ns))
         return z, z
-    op = ConvOperator(K.Kernel("0", batch, parity="even", tail_exponent=9), 8)
+    op = ConvOperator(K.Kernel("0", batch, parity="even"), 8)
     est = estimate_norm(op, P2)
     assert est.value == 0.0 and est.converged
 

@@ -18,7 +18,7 @@ def _identity_kernel():
     def batch(ns):
         v = np.where(np.asarray(ns) == 0, 1.0, 0.0).astype(float)
         return v, np.zeros_like(v)
-    return K.Kernel("I", batch, parity="even", tail_exponent=99.0)
+    return K.Kernel("I", batch, parity="even")
 
 
 def test_davis_constant():
@@ -275,9 +275,7 @@ def test_search_evaluates_kernel_once_per_run(monkeypatch):
             calls.append(len(ns))
             return orig.evaluate(ns)
 
-        # a small cache radius: every candidate's window lies beyond it
-        k = K.Kernel(name, batch, parity=orig.parity, tail_exponent=1.0,
-                     cache_radius=16)
+        k = K.Kernel(name, batch, parity=orig.parity)
         for family, budget in (("random_signs", 12), ("greedy_atoms", 12),
                                ("discretized_bumps", 6)):
             calls.clear()
@@ -297,7 +295,7 @@ def _nan_kernel(bad):
     def batch(ns):
         vals, errs = K.HILBERT.evaluate(ns)
         return np.where(bad(np.asarray(ns)), np.nan, vals), errs
-    return K.Kernel("H", batch, parity="odd", tail_exponent=1.0)
+    return K.Kernel("H", batch, parity="odd")
 
 
 # a unit atom convolves directly, a bump of 1023 samples through the FFT
