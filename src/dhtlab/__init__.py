@@ -4,7 +4,6 @@ from dhtlab.numerics import (
     Exponent,
     QuadResult,
     QuadratureError,
-    burkholder_constant,
     catalan_beta2,
     integrate,
     pichorides_constant,
@@ -14,7 +13,6 @@ __all__ = [
     "Exponent",
     "QuadResult",
     "QuadratureError",
-    "burkholder_constant",
     "catalan_beta2",
     "integrate",
     "pichorides_constant",

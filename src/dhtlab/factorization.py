@@ -21,7 +21,6 @@ from dhtlab.seqops import Seq, convolve, fft_convolve
 __all__ = [
     "FactorizationKit",
     "FactorizationReport",
-    "build_G",
     "build_K",
     "verify_factorization",
     "j_decomposition_residual",
@@ -41,16 +40,15 @@ class FactorizationKit:
     alpha: float
     window: int
     G: np.ndarray
-    K: np.ndarray | None
+    K: np.ndarray
     neumann_terms: int
     mass_defect: float
     g_tail_bound: float
     quad_slop: float
 
     def __post_init__(self):
-        for arr in (self.G, self.K):
-            if arr is not None:
-                arr.setflags(write=False)
+        self.G.setflags(write=False)
+        self.K.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -62,32 +60,6 @@ class FactorizationReport:
     mass_defect: float
 
 
-def _alpha_and_G(window: int):
-    if window < 16:
-        raise ValueError("window >= 16 required")
-    e_vals = E.window(window)
-    e_errs = E.error_window(window)
-    e0 = e_vals[window]
-    if not e0 > 0:
-        raise AssertionError("E_0 must be positive")
-    if np.any(np.delete(e_vals, window) >= 0):
-        raise AssertionError("E_n must be negative for n != 0")
-    alpha = 1.0 / (1.0 + e0)
-    g = -alpha * e_vals
-    g[window] = 0.0
-    quad_slop = alpha * float(np.sum(e_errs)) + alpha * alpha * float(e_errs[window])
-    g_tail = alpha * 2.0 * e_tail_constant() / window
-    return alpha, g, g_tail, quad_slop
-
-
-def build_G(window: int) -> FactorizationKit:
-    """G on [-window, window]; windowed mass plus tail bound brackets 1 - alpha."""
-    alpha, g, g_tail, quad_slop = _alpha_and_G(window)
-    return FactorizationKit(alpha=alpha, window=window, G=g, K=None,
-                            neumann_terms=0, mass_defect=math.nan,
-                            g_tail_bound=g_tail, quad_slop=quad_slop)
-
-
 def build_K(window: int, mass_tol: float = 1e-8) -> FactorizationKit:
     """Sum the Neumann series for K on [-window, window].
 
@@ -97,7 +69,19 @@ def build_K(window: int, mass_tol: float = 1e-8) -> FactorizationKit:
     """
     if not (1e-12 < mass_tol < 1e-2):
         raise ValueError("mass_tol must lie in (1e-12, 1e-2)")
-    alpha, g, g_tail, quad_slop = _alpha_and_G(window)
+    if window < 16:
+        raise ValueError("window >= 16 required")
+    e = E.read(-window, window)
+    e0 = e.values[window]
+    if not e0 > 0:
+        raise AssertionError("E_0 must be positive")
+    if np.any(np.delete(e.values, window) >= 0):
+        raise AssertionError("E_n must be negative for n != 0")
+    alpha = 1.0 / (1.0 + e0)
+    g = -alpha * e.values
+    g[window] = 0.0
+    quad_slop = alpha * float(np.sum(e.bars)) + alpha * alpha * float(e.bars[window])
+    g_tail = alpha * 2.0 * e_tail_constant() / window
     one_minus = 1.0 - alpha
     if not one_minus < 1.0:
         raise AssertionError("Neumann ratio must be < 1")
@@ -142,8 +126,6 @@ def verify_factorization(a: Seq, window: int, mass_tol: float = 1e-8,
             raise ValueError("a must be supported in [-window/4, window/4]")
     if kit is None:
         kit = build_K(window, mass_tol)
-    elif kit.K is None:
-        raise ValueError("kit lacks K; call build_K")
 
     if at.is_zero():
         return FactorizationReport(0.0, kit.mass_defect, True, window,
@@ -172,17 +154,16 @@ def j_decomposition_residual(n_max: int, window: int):
     The convolution is truncated to |m| <= window; the budget combines the
     m^-3 summand tail with the summed error bars of the kernels.
     """
-    e_vals = E.window(window)
-    e_errs = E.error_window(window)
+    e = E.read(-window, window)
     ms = np.arange(-window, window + 1)
     resid = 0.0
     for n in range(-n_max, n_max + 1):
-        h_at = np.zeros_like(e_vals)
+        h_at = np.zeros(len(ms))
         nz = ms != n
         h_at[nz] = 1.0 / (math.pi * (n - ms[nz]))
-        he = float(np.dot(h_at, e_vals))
+        he = float(np.dot(h_at, e.values))
         resid = max(resid, abs(j_kernel(n) - HILBERT.value(n) - he))
     tail = 2.0 * e_tail_constant() / (math.pi * window * max(window - n_max - 1, 1))
-    budget = tail + float(np.sum(e_errs)) / math.pi \
+    budget = tail + float(np.sum(e.bars)) / math.pi \
         + float(np.max(J.error_window(n_max))) + 1e-13
     return resid, budget

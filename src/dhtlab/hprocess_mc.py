@@ -33,7 +33,7 @@ Statistical acceptance is always "within 3 standard errors".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -414,7 +414,3 @@ def occupation_check(cfg: SdeConfig, grid: OccupationGrid,
         chi2=chi2, chi2_z=float(chi2_z), total_z=float(total_z),
         killed_fraction=float(np.mean(absorbed)))
 
-
-def refine_dt(cfg: SdeConfig, factor: float = 0.5) -> SdeConfig:
-    """Halve (by default) every step-size control; used for bias probes."""
-    return replace(cfg, dt=cfg.dt * factor, step_scale=cfg.step_scale * factor)

@@ -21,18 +21,22 @@ share the work:
   of the evaluation: a bound.
 
 A ``Kernel`` keeps no cache: every read evaluates, at any radius, and an
-index outside int64 raises.  No quadrature runs at import or evaluation
-time, and importing this module loads numpy only.
+index outside int64 raises.  ``Kernel.read`` returns the values and bars of
+one evaluation as a ``KernelWindow``, a frozen value that its reader owns.
+No quadrature runs at import or evaluation time, and importing this module
+loads numpy only.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Kernel",
+    "KernelWindow",
     "HILBERT", "RT", "KAK", "ADP", "J", "F", "E",
     "KERNELS",
     "hilbert_kernel", "rt_kernel", "kak_kernel", "adp_kernel",
@@ -144,15 +148,27 @@ _J_F_MOMENTS = _j_f_moments()
 _E_MOMENT_BARS = _half_ulp(np.array(_E_MOMENTS))
 
 
-def _literal_or_series(ms, literals, series):
-    """literals[m] with its half-ulp bar for m < N0, series(ms) from N0 on."""
+def _literal_or_series(ns, literals, series):
+    """Values and bars at m = |n|: literals[m] with its half-ulp bar for
+    m < N0, series(ms) from N0 on, each distinct m evaluated once.
+
+    When the m span no more values than there are indices, as in every
+    window read, that whole range is evaluated and gathered from without a
+    sort; sparse index sets (``[1, 2**62]``) go through ``np.unique``.  An
+    entry's bits depend on its m alone, so both give the same values.
+    """
+    m = np.abs(ns)
+    if m.size and (hi := int(m.max())) - (lo := int(m.min())) < m.size:
+        ms, inv = lo + np.arange(hi - lo + 1), m - lo      # hi + 1 may pass int64
+    else:
+        ms, inv = np.unique(m, return_inverse=True)
     vals = np.empty(len(ms))
     errs = np.empty(len(ms))
     small = ms < _N0
     vals[small] = np.asarray(literals)[ms[small]]
     errs[small] = _half_ulp(vals[small])
     vals[~small], errs[~small] = series(ms[~small])
-    return vals, errs
+    return vals[inv], errs[inv]
 
 
 def _index(n) -> int:
@@ -163,13 +179,40 @@ def _index(n) -> int:
     return int(n)
 
 
+@dataclass(frozen=True, eq=False)
+class KernelWindow:
+    """A kernel's values and error bars for n = lo..hi from one
+    ``Kernel.read``: both arrays are taken (not copied) and made read-only,
+    and ``window_range`` answers with views of them."""
+
+    lo: int
+    values: np.ndarray
+    bars: np.ndarray
+
+    def __post_init__(self):
+        self.values.setflags(write=False)
+        self.bars.setflags(write=False)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.values) - 1
+
+    def window_range(self, lo: int, hi: int) -> np.ndarray:
+        """Values for n = lo..hi inclusive, a view; ValueError outside the window."""
+        if not self.lo <= lo <= hi <= self.hi:
+            raise ValueError(f"range [{lo}, {hi}] outside the window "
+                             f"[{self.lo}, {self.hi}]")
+        return self.values[lo - self.lo: hi + 1 - self.lo]
+
+
 class Kernel:
     """A doubly-infinite kernel given by a batch generator (a closed form, or
     literals and a series) and its parity.
 
     It keeps no state: every read is one generator call on the indices read.
     An entry's bits depend on its index alone, the same in any window, and
-    concurrent readers are safe.
+    concurrent readers are safe.  ``read`` returns a ``KernelWindow``; the
+    other reads return fresh writable arrays.
     """
 
     # Not read by dhtlab; the benchmark harness splits its entry counts here.
@@ -192,6 +235,10 @@ class Kernel:
         if lo > hi:
             raise ValueError("empty window")
         return self.evaluate(np.arange(lo, hi + 1))
+
+    def read(self, lo: int, hi: int) -> KernelWindow:
+        """Values and bars for n = lo..hi inclusive, from one evaluation."""
+        return KernelWindow(_index(lo), *self._read(lo, hi))
 
     def value(self, n: int) -> float:
         return float(self._read(n, n)[0][0])
@@ -251,7 +298,6 @@ def _adp_batch(ns):
 def _j_f_batch(ns, with_hilbert_part):
     # each distinct |n| once, mirrored by parity
     ns = np.asarray(ns, dtype=np.int64)
-    ms, inv = np.unique(np.abs(ns), return_inverse=True)
 
     def series(big):
         integral, ierr = _moment_series(big, *_J_F_MOMENTS)
@@ -261,8 +307,8 @@ def _j_f_batch(ns, with_hilbert_part):
         return vals, ierr / (_PI * big) + _eps_err(vals)
 
     literals = _J_SMALL if with_hilbert_part else _F_SMALL
-    vals, errs = _literal_or_series(ms, literals, series)
-    return np.sign(ns) * vals[inv], errs[inv]
+    vals, errs = _literal_or_series(ns, literals, series)
+    return np.sign(ns) * vals, errs
 
 
 def _j_batch(ns):
@@ -274,15 +320,12 @@ def _f_batch(ns):
 
 
 def _e_batch(ns):
-    ms, inv = np.unique(np.abs(np.asarray(ns, dtype=np.int64)), return_inverse=True)
-
     def series(big):
         # E_n = -sum_k (-1)^k M_k / a^(2k+2)
         vals, bar = _moment_series(big, _E_MOMENTS, _E_MOMENT_BARS)
         return -vals, bar + _eps_err(vals)
 
-    vals, errs = _literal_or_series(ms, _E_SMALL, series)
-    return vals[inv], errs[inv]
+    return _literal_or_series(np.asarray(ns, dtype=np.int64), _E_SMALL, series)
 
 
 HILBERT = Kernel("H", _hilbert_batch, parity="odd")

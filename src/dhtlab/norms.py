@@ -35,7 +35,6 @@ __all__ = [
     "test_vector_bound",
     "estimate_norm",
     "norm_sweep",
-    "sweep_is_monotone",
 ]
 
 
@@ -275,7 +274,7 @@ def norm_sweep(op_kernel, e: Exponent, radii, seed: int = 0,
     """One estimate per truncation radius, all from the same seed.
 
     Exact truncated norms are monotone in the radius; the estimates inherit
-    this up to solver tolerance (see sweep_is_monotone).
+    this up to solver tolerance (the tests allow a 10*tol dip).
     """
     out = []
     for r in radii:
@@ -283,8 +282,3 @@ def norm_sweep(op_kernel, e: Exponent, radii, seed: int = 0,
         out.append(estimate_norm(op, e, max_iter=max_iter, tol=tol, seed=seed))
     return out
 
-
-def sweep_is_monotone(estimates, tol: float) -> bool:
-    """Nondecreasing within the 10*tol slack allowed for solver wobble."""
-    vals = [est.value for est in estimates]
-    return all(b >= a - 10.0 * tol for a, b in zip(vals, vals[1:]))

@@ -19,7 +19,6 @@ __all__ = [
     "integrate",
     "catalan_beta2",
     "pichorides_constant",
-    "burkholder_constant",
     "csch",
     "csch_sq",
     "coth",
@@ -266,11 +265,6 @@ def pichorides_constant(e: Exponent) -> float:
         return 1.0
     ang = math.pi / (2.0 * e.pstar)
     return math.cos(ang) / math.sin(ang)
-
-
-def burkholder_constant(e: Exponent) -> float:
-    """p* - 1, the sharp constant for differentially subordinate martingale transforms."""
-    return e.pstar - 1.0
 
 
 # -- numerically stable hyperbolic helpers (used by kernel integrands) --------

@@ -1,15 +1,16 @@
 """Finitely supported doubly-infinite sequences and convolution against kernels.
 
-Sequences have value semantics (frozen dataclass over a read-only array) and
-may be shared freely between threads.  Convolution has a direct path with a
-fixed summation order for bit-reproducibility and an FFT path for large
-supports; the two agree to ~1e-12 relative.  The FFTs are ``numpy.fft``'s,
-so importing this module loads no scipy.
+Sequences and truncated operators have value semantics (frozen dataclasses
+over read-only arrays) and may be shared freely between threads; an
+operator reads its kernel window once, when it is built, and keeps what its
+matvec needs.  The module holds no cache.  Convolution has a direct path
+with a fixed summation order for bit-reproducibility and an FFT path for
+large supports; the two agree to ~1e-12 relative.  The FFTs are
+``numpy.fft``'s, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,8 +26,6 @@ __all__ = [
     "lp_norm",
     "convolve",
     "fft_convolve",
-    "adjoint_kernel",
-    "scale_kernel",
     "next_fast_len",
 ]
 
@@ -183,7 +182,8 @@ def convolve(k: Kernel, a: Seq, out_radius: int) -> Seq:
     Kernel entries are read only on the index range actually touched by the
     support of ``a``, so truncated operators never see entries beyond
     |m| <= 2N for inputs inside [-N, N].  They are read by one
-    ``k.window_range`` call, the only method of ``k`` used.
+    ``k.window_range`` call, the only method of ``k`` used, so a ``Kernel``
+    or a ``KernelWindow`` that covers the range will do.
     """
     if out_radius < 1:
         raise ValueError("out_radius must be >= 1")
@@ -199,64 +199,39 @@ def convolve(k: Kernel, a: Seq, out_radius: int) -> Seq:
     return Seq(-out_radius, full[i0: i0 + 2 * out_radius + 1])
 
 
-def adjoint_kernel(k: Kernel) -> Kernel:
-    """Kernel of the transposed operator: n -> k(-n)."""
-    def batch(ns):
-        return k.evaluate(-np.asarray(ns))
-    return Kernel(k.name + "^T", batch, parity=k.parity)
-
-
-def scale_kernel(k: Kernel, c: float) -> Kernel:
-    """Kernel pointwise scaled by the constant c."""
-    def batch(ns):
-        vals, errs = k.evaluate(ns)
-        return c * vals, abs(c) * errs
-    return Kernel(f"{c}*{k.name}", batch, parity=k.parity)
-
-
-@functools.lru_cache(maxsize=1)
-def _kernel_spectra(k: Kernel, n: int):
-    """``rfft`` of the window [-2N, 2N] at L = ``next_fast_len(4N+1)``.
-
-    A (2N+1)-entry input convolved circularly with it at length L gives the
-    linear convolution's outputs 2N..4N, the ones P_N keeps, without
-    aliasing exactly when L >= 4N+1.  One slot: the power iteration
-    alternates forward and adjoint matvecs on a single operator, and an
-    operator kept alive after its run holds neither the spectrum nor its
-    window.
-    """
-    size = next_fast_len(4 * n + 1)
-    spectrum = rfft(k.window_range(-2 * n, 2 * n), size)
-    spectrum.setflags(write=False)
-    return size, spectrum
-
-
-@dataclass
+@dataclass(frozen=True)
 class ConvOperator:
     """The truncation P_N T P_N of a convolution operator T to [-N, N].
 
     P_N is an l^p contraction, so norms of truncations are certified lower
-    bounds for the full operator norm and are monotone in N.  Small operators
-    (2N+1 <= 512) convolve directly against the kernel window [-2N, 2N],
-    materialized once per operator.  Larger ones convolve circularly with
-    the window's cached spectrum, two FFTs of length about 4N per matvec;
-    the adjoint is T' = R T R, with R the reversal of [-N, N], on the same
-    spectrum.
+    bounds for the full operator norm and are monotone in N.  The operator
+    reads the kernel window [-2N, 2N] once, when it is built, and keeps only
+    what its matvec uses.  Small operators (2N+1 <= 512) keep the window and
+    convolve directly against it.  Larger ones keep its ``rfft`` at
+    L = ``next_fast_len(4N+1)``: a (2N+1)-entry input convolved circularly
+    with it at length L gives the linear convolution's outputs 2N..4N, the
+    ones P_N keeps, without aliasing exactly when L >= 4N+1.  That is two
+    FFTs per matvec; the adjoint is T' = R T R, with R the reversal of
+    [-N, N], on the same spectrum.
     """
 
     kernel: Kernel
     window_radius: int
-    _kw: np.ndarray | None = field(default=None, repr=False)
+    # the window [-2N, 2N] (direct path, _fft_len 0) or its rfft at _fft_len
+    _taps: np.ndarray = field(init=False, repr=False, compare=False)
+    _fft_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")
-
-    def _window(self) -> np.ndarray:
-        if self._kw is None:
-            n = self.window_radius
-            self._kw = self.kernel.window_range(-2 * n, 2 * n)
-        return self._kw
+        n = self.window_radius
+        taps = self.kernel.window_range(-2 * n, 2 * n)
+        fft_len = next_fast_len(4 * n + 1) if self.size > _FFT_THRESHOLD else 0
+        if fft_len:
+            taps = rfft(taps, fft_len)
+        taps.setflags(write=False)
+        object.__setattr__(self, "_taps", taps)
+        object.__setattr__(self, "_fft_len", fft_len)
 
     @property
     def size(self) -> int:
@@ -267,14 +242,12 @@ class ConvOperator:
             raise ValueError(f"v must be 1-d of length 2N+1 = {self.size}, "
                              f"got shape {np.shape(v)}")
         # convolution index t <-> output n = t - 3N
-        n = self.window_radius
-        if self.size > _FFT_THRESHOLD:
-            size, spectrum = _kernel_spectra(self.kernel, n)
+        n, size, taps = self.window_radius, self._fft_len, self._taps
+        if size:
             w = v[::-1] if adjoint else v              # T' = R T R
-            out = irfft(rfft(w, size) * spectrum, size)[2 * n: 4 * n + 1]
+            out = irfft(rfft(w, size) * taps, size)[2 * n: 4 * n + 1]
             return out[::-1] if adjoint else out
-        kw = self._window()
-        full = _convolve_dense_direct(v, kw[::-1] if adjoint else kw)
+        full = _convolve_dense_direct(v, taps[::-1] if adjoint else taps)
         return full[2 * n: 4 * n + 1]
 
     def apply_dense(self, v: np.ndarray) -> np.ndarray:
@@ -291,7 +264,7 @@ class ConvOperator:
 
     def matrix(self) -> np.ndarray:
         """Dense (2N+1) x (2N+1) Toeplitz matrix M[i, j] = k(i - j)."""
-        kw = self._window()
         n = self.window_radius
+        kw = self.kernel.window_range(-2 * n, 2 * n)
         idx = np.arange(-n, n + 1)
         return kw[(idx[:, None] - idx[None, :]) + 2 * n]

@@ -80,7 +80,7 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
 
     ``k`` is read only through ``window_range(lo, hi)``, on the index range
     ``convolve`` touches and at the four tail distances, so a ``Kernel`` or
-    any object whose ``window_range`` returns the same entries will do.  A
+    a ``KernelWindow`` read from it gives the same report.  A
     non-finite kernel entry fails loudly: NaN or inf in |Ta_n| and a
     non-finite tail bound each raise ``ValueError``.
 
@@ -184,23 +184,6 @@ def _report_best(best: WeakTypeReport) -> WeakTypeReport:
     return best
 
 
-class _KernelWindow:
-    """A kernel's entries on [-radius, radius], read once into a read-only
-    array: the ``window_range`` that ``weak_ratio`` and ``convolve`` call,
-    answered with views of that array."""
-
-    def __init__(self, k: Kernel, radius: int):
-        self._vals = k.window(radius)
-        self._vals.setflags(write=False)
-        self._radius = radius
-
-    def window_range(self, lo: int, hi: int) -> np.ndarray:
-        r = self._radius
-        if not -r <= lo <= hi <= r:
-            raise ValueError(f"range [{lo}, {hi}] outside the window of radius {r}")
-        return self._vals[lo + r: hi + 1 + r]
-
-
 def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
                          window: int = 16384) -> WeakTypeReport:
     """Empirical lower-bound search for the weak-type constant.
@@ -212,13 +195,13 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
     none and is rejected).  Deterministic given the seed; returns the
     largest ratio found and never claims an upper bound.
 
-    ``k`` is read once per search, by ``k.window(window + s + 1)`` for the
-    family's largest support radius s: every candidate's window and tail
-    reads lie in that range, and each ``weak_ratio`` reads views of the one
-    read-only array.  An entry's bits do not depend on the range that asked
-    for it, so the reports are those of ``weak_ratio`` on ``k`` itself.  A
-    non-finite entry that a candidate reads raises ``ValueError`` (see
-    ``weak_ratio``).
+    ``k`` is read once per search, by ``k.read(-r, r)`` with
+    r = ``window`` + s + 1 for the family's largest support radius s: every
+    candidate's window and tail reads lie in that range, and each
+    ``weak_ratio`` reads views of that one ``KernelWindow``.  An
+    entry's bits do not depend on the range that asked for it, so the
+    reports are those of ``weak_ratio`` on ``k`` itself.  A non-finite entry
+    that a candidate reads raises ``ValueError`` (see ``weak_ratio``).
     """
     if budget < 1:
         raise ValueError("budget >= 1 required")
@@ -230,7 +213,7 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
                "discretized_bumps": window // 4}.get(family)
     if support is None:
         raise ValueError(f"unknown family {family!r}")
-    k = _KernelWindow(k, window + support + 1)
+    k = k.read(-window - support - 1, window + support + 1)
 
     if family == "random_signs":
         rng = np.random.default_rng(seed)

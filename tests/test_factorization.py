@@ -12,7 +12,7 @@ ALPHA = 0.7705695443841257
 
 
 def test_build_G_basics():
-    kit = FZ.build_G(200)
+    kit = FZ.build_K(200)
     assert kit.alpha == pytest.approx(ALPHA, abs=1e-10)
     mid = kit.window
     assert kit.G[mid] == 0.0
@@ -21,7 +21,7 @@ def test_build_G_basics():
 
 
 def test_build_G_mass_bracket():
-    kit = FZ.build_G(200)
+    kit = FZ.build_K(200)
     mass = float(kit.G.sum())
     target = 1.0 - kit.alpha
     assert mass <= target + kit.quad_slop
@@ -42,13 +42,13 @@ def test_build_K_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         FZ.build_K(64, 1.0)
     with pytest.raises(ValueError):
-        FZ.build_G(4)
+        FZ.build_K(4)
 
 
 def test_neumann_partial_sums_monotone():
     # re-run the accumulation keeping partial sums; entrywise nondecreasing
     from scipy.signal import fftconvolve
-    kit = FZ.build_G(128)
+    kit = FZ.build_K(128)
     w = kit.window
     term = np.zeros(2 * w + 1)
     term[w] = 1.0

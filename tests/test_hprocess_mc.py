@@ -9,8 +9,7 @@ import dhtlab.hprocess_mc as mc
 from dhtlab.halfplane import h_fields
 from dhtlab.hprocess_mc import (OccupationGrid, PathStats, SdeConfig,
                                 _simulate, drift_field, estimate_T,
-                                expected_occupation, occupation_check,
-                                refine_dt)
+                                expected_occupation, occupation_check)
 from dhtlab.seqops import Seq
 
 TWO_PI = 2.0 * math.pi
@@ -376,10 +375,17 @@ def test_occupation_grid_validation():
         OccupationGrid(x_min=1, x_max=0, y_min=0.5, y_max=2, nx=2, ny=2)
 
 
+def _refine_dt(cfg):
+    """``cfg`` with every step-size control halved, as in the bias probe."""
+    return replace(cfg, dt=cfg.dt / 2, step_scale=cfg.step_scale / 2)
+
+
 def test_refine_dt():
+    # the halved config passes SdeConfig's checks again, and keeps the rest
     cfg = SdeConfig(n=1, start=(0.0, 4.0))
-    fine = refine_dt(cfg)
+    fine = _refine_dt(cfg)
     assert fine.dt == cfg.dt / 2 and fine.step_scale == cfg.step_scale / 2
+    assert replace(fine, dt=cfg.dt, step_scale=cfg.step_scale) == cfg
 
 
 @pytest.mark.heavy
@@ -391,7 +397,7 @@ def test_refinement_probe_heavy():
     grid = OccupationGrid(x_min=math.pi, x_max=3 * math.pi,
                           y_min=1.0, y_max=5.0, nx=4, ny=4)
     base = occupation_check(cfg, grid, 100_000)
-    fine = occupation_check(refine_dt(cfg), grid, 100_000)
+    fine = occupation_check(_refine_dt(cfg), grid, 100_000)
     dz = np.abs(base.observed - fine.observed) / np.sqrt(
         base.std_error ** 2 + fine.std_error ** 2)
     assert float(np.mean(dz <= 3.0)) >= 0.95

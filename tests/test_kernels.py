@@ -159,6 +159,54 @@ def test_every_read_is_one_evaluation_bitwise(orig):
             assert got.tobytes() == want.tobytes(), (read.__name__, args)
 
 
+@pytest.mark.parametrize("orig", [K.J, K.E, K.HILBERT], ids=["J", "E", "H"])
+def test_read_is_one_evaluation_into_a_read_only_window(orig):
+    k, calls = _counted(orig)
+    lo, hi = -5000, 4200
+    ns = np.arange(lo, hi + 1)
+    w = k.read(lo, hi)
+    assert len(calls) == 1 and np.array_equal(calls[0], ns)
+    vals, bars = orig.evaluate(ns)
+    assert (w.lo, w.hi) == (lo, hi)
+    assert w.values.tobytes() == vals.tobytes() and w.bars.tobytes() == bars.tobytes()
+    for arr in (w.values, w.bars):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    part = w.window_range(-40, 4100)
+    assert np.shares_memory(part, w.values)
+    assert part.tobytes() == orig.window_range(-40, 4100).tobytes()
+    assert w.window_range(hi, hi)[0] == orig.value(hi)
+    for bad in ((lo - 1, 0), (0, hi + 1), (5, 4)):
+        with pytest.raises(ValueError, match="outside the window"):
+            w.window_range(*bad)
+    with pytest.raises(ValueError, match="kernel index"):
+        k.read(0, 2 ** 63)
+    with pytest.raises(ValueError, match="empty window"):
+        k.read(1, 0)
+    # the other reads still hand out fresh writable arrays
+    assert k.window(3).flags.writeable and k.error_window(3).flags.writeable
+
+
+@pytest.mark.parametrize("kernel", [K.J, K.F, K.E], ids=["J", "F", "E"])
+def test_evaluate_any_index_set_equals_per_index_reads(kernel):
+    # dense ranges gather from one |n| range, sparse sets go through a
+    # sort; either way each entry has the bits of reading it alone
+    rng = np.random.default_rng(11)
+    cases = [[5, -3, 5, 0, -40, 40, 33, -31, 32, 5],
+             rng.permutation(np.arange(-60, 61)),
+             rng.integers(-70, 70, size=50),
+             [1, 2 ** 62], [-(2 ** 62), 7, 2 ** 40, 7, -7],
+             [2 ** 63 - 1, -(2 ** 63 - 1), 2 ** 63 - 2],
+             [10, 12, 14, 16, 18, 11, -10, -12, 18],     # a range with holes
+             [31, 32, 33], [-4096], []]
+    for ns in cases:
+        ns = np.asarray(ns, dtype=np.int64)
+        vals, bars = kernel.evaluate(ns)
+        one = [kernel.evaluate([n]) for n in ns]
+        assert vals.tobytes() == b"".join(v.tobytes() for v, _ in one), ns
+        assert bars.tobytes() == b"".join(b.tobytes() for _, b in one), ns
+
+
 def test_concurrent_readers_get_the_bits_of_evaluate():
     # 4 threads (more than cores, switching often) read overlapping J and
     # E windows, 20 rounds each

@@ -6,10 +6,10 @@ import pytest
 import scipy.linalg as sla
 
 from dhtlab import kernels as K
-from dhtlab.norms import estimate_norm, norm_sweep, sweep_is_monotone
+from dhtlab.norms import estimate_norm, norm_sweep
 from dhtlab.norms import test_vector_bound as vector_bound
 from dhtlab.numerics import Exponent, pichorides_constant
-from dhtlab.seqops import ConvOperator, Seq, adjoint_kernel, scale_kernel
+from dhtlab.seqops import ConvOperator, Seq
 
 P2 = Exponent(2.0)
 P4 = Exponent(4.0)
@@ -136,7 +136,7 @@ def test_nan_kernel_fails_loudly(p, N):
 
 def test_duality_agreement():
     op = ConvOperator(K.J, 128)
-    op_t = ConvOperator(adjoint_kernel(K.J), 128)
+    op_t = ConvOperator(K.Kernel("J^T", lambda ns: K.J.evaluate(-ns), "odd"), 128)
     est_p = estimate_norm(op, P4, max_iter=4000, tol=1e-12)
     est_q = estimate_norm(op_t, P43, max_iter=4000, tol=1e-12)
     assert abs(est_p.value - est_q.value) < 1e-6
@@ -144,7 +144,9 @@ def test_duality_agreement():
 
 def test_scaling_homogeneity_exact():
     op = ConvOperator(K.HILBERT, 32)
-    op2 = ConvOperator(scale_kernel(K.HILBERT, 2.0), 32)
+    op2 = ConvOperator(K.Kernel("2H", lambda ns: (2.0 * K.HILBERT.evaluate(ns)[0],
+                                                 2.0 * K.HILBERT.evaluate(ns)[1]),
+                                "odd"), 32)
     # a tiny tolerance pins both runs to the same iteration count, so the
     # homogeneity of every operation makes the doubling exact
     e1 = estimate_norm(op, P2, max_iter=60, tol=1e-18)
@@ -164,7 +166,7 @@ def test_unitary_variants_close_to_one_at_p2():
 def test_sweep_monotone_and_bounded():
     ests = norm_sweep(K.HILBERT, P2, [64, 256, 1024], max_iter=2000, tol=1e-10)
     vals = [e.value for e in ests]
-    assert sweep_is_monotone(ests, 1e-10)
+    assert all(b >= a - 10 * 1e-10 for a, b in zip(vals, vals[1:]))
     assert all(v <= 1.0 + 1e-9 for v in vals)
     assert vals[0] < vals[1] < vals[2]
 

@@ -6,7 +6,7 @@ import scipy.integrate as si
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dhtlab.numerics import (Exponent, QuadratureError, burkholder_constant,
+from dhtlab.numerics import (Exponent, QuadratureError,
                              catalan_beta2, coth, csch_sq, integrate,
                              pichorides_constant)
 
@@ -110,21 +110,15 @@ def test_pichorides_values():
         1.0 + math.sqrt(2.0), abs=1e-12)
 
 
-def test_burkholder_values():
-    assert burkholder_constant(Exponent(2.0)) == 1.0
-    assert burkholder_constant(Exponent(4.0)) == 3.0
-    assert burkholder_constant(Exponent(1.5)) == pytest.approx(2.0, abs=1e-12)
-
-
 @pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 4.0, 10.0])
 def test_pichorides_below_burkholder(p):
     e = Exponent(p)
-    assert pichorides_constant(e) < burkholder_constant(e)
+    assert pichorides_constant(e) < e.pstar - 1.0     # Burkholder's constant
 
 
 def test_pichorides_equality_at_two():
     e = Exponent(2.0)
-    assert pichorides_constant(e) == burkholder_constant(e) == 1.0
+    assert pichorides_constant(e) == e.pstar - 1.0 == 1.0
 
 
 def test_davis_twelve_digits_two_methods():

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 
 from dhtlab import kernels as K
 from dhtlab import seqops
+from dhtlab.norms import estimate_norm
 from dhtlab.numerics import Exponent
-from dhtlab.seqops import (ConvOperator, Seq, adjoint_kernel, convolve,
-                           fft_convolve, lp_norm, scale_kernel,
+from dhtlab.seqops import (ConvOperator, Seq, convolve, fft_convolve, lp_norm,
                            _convolve_dense_direct)
 
 # frozen direct-summation value: sqrt(2 sum_{n=1..64} (pi n)^-2)
@@ -105,16 +107,6 @@ def test_direct_vs_fft_large_support():
         1.0, np.max(np.abs(out_big.values)))
 
 
-def test_adjoint_kernel():
-    adj = adjoint_kernel(K.HILBERT)
-    for n in range(-50, 51):
-        assert adj.value(n) == -K.hilbert_kernel(n)
-    adj_rt = adjoint_kernel(K.RT)
-    assert adj_rt.value(2) == pytest.approx(1.0 / (math.pi * (-2 + 0.5)), rel=1e-15)
-    inv = adjoint_kernel(adj_rt)
-    assert np.array_equal(inv.window(100), K.RT.window(100))
-
-
 @given(st.lists(st.floats(-3, 3), min_size=1, max_size=7),
        st.lists(st.floats(-3, 3), min_size=1, max_size=7))
 @settings(max_examples=30, deadline=None)
@@ -123,7 +115,7 @@ def test_adjoint_inner_product(av, bv):
     if a.trimmed().is_zero() or b.trimmed().is_zero():
         return
     Ta = convolve(K.J, a, 12)
-    Ttb = convolve(adjoint_kernel(K.J), b, 12)
+    Ttb = convolve(K.Kernel("J^T", lambda ns: K.J.evaluate(-ns), "odd"), b, 12)
     ip1 = math.fsum(Ta[n] * b[n] for n in range(-12, 13))
     ip2 = math.fsum(a[n] * Ttb[n] for n in range(-12, 13))
     scale = max(1.0, abs(ip1))
@@ -166,26 +158,74 @@ def test_conv_operator_rejects_bad_shape(n, method):
     assert apply(np.ones(2 * n + 1)).shape == (2 * n + 1,)
 
 
-def test_conv_operator_spectra_do_not_leak_between_operators():
-    # the FFT path keeps one kernel spectrum at a time; alternating
-    # operators, sizes and directions must give each operator's own bits,
-    # as computed alone from an empty cache
+def test_conv_operator_is_frozen():
+    # an operator's window is read for its radius and kernel when it is
+    # built, so changing either afterwards would make it answer stale
+    op = ConvOperator(K.HILBERT, 100)
+    v = np.random.default_rng(4).standard_normal(201)
+    want = op.apply_dense(v)
+    for name, value in (("window_radius", 50), ("kernel", K.J)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(op, name, value)
+    assert op.window_radius == 100 and op.kernel is K.HILBERT
+    assert np.array_equal(op.apply_dense(v), want)
+
+
+def test_each_operator_reads_its_window_once_even_under_threads():
+    # two threads, switching often, run norm estimates at different radii on
+    # a kernel that counts its evaluations: each operator reads its window
+    # once, when it is built, and builds its spectrum from that read, so
+    # neither evicts the other's and the values are those of one thread
+    reads = []
+
+    def batch(ns):
+        reads.append(len(ns))
+        return K.J.evaluate(ns)
+
+    counted = K.Kernel("J", batch, parity="odd")
+    radii = (2048, 4096)
+    ops = [ConvOperator(counted, n) for n in radii]
+    assert sorted(reads) == [4 * n + 1 for n in radii]
+    reads.clear()
+    alone = [estimate_norm(op, Exponent(4.0), max_iter=30, tol=1e-300) for op in ops]
+    results = {}
+
+    def run(i):
+        results[i] = estimate_norm(ops[i], Exponent(4.0), max_iter=30, tol=1e-300)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert reads == []
+    for i, ref in enumerate(alone):
+        assert results[i].value == ref.value and results[i].history == ref.history
+        assert np.array_equal(results[i].certificate.values, ref.certificate.values)
+
+    # interleaved operators, sizes and directions give each operator the
+    # bits of a fresh operator run alone
+    j_t = K.Kernel("J^T", lambda ns: K.J.evaluate(-ns), "odd")
+    h2 = K.Kernel("2H", lambda ns: (2.0 * K.HILBERT.evaluate(ns)[0],
+                                    2.0 * K.HILBERT.evaluate(ns)[1]), "odd")
     ops = [ConvOperator(K.HILBERT, 256), ConvOperator(K.J, 1024),
-           ConvOperator(adjoint_kernel(K.J), 256),
-           ConvOperator(scale_kernel(K.HILBERT, 2.0), 256)]
+           ConvOperator(j_t, 256), ConvOperator(h2, 256), ConvOperator(K.J, 100)]
     rng = np.random.default_rng(5)
     calls = [(op, adjoint, rng.standard_normal(op.size))
              for _ in range(3) for op in ops for adjoint in (False, True, False)]
 
-    def run(op, adjoint, v):
+    def apply(op, adjoint, v):
         return op.apply_adjoint_dense(v) if adjoint else op.apply_dense(v)
 
-    alone = []
-    for call in calls:
-        seqops._kernel_spectra.cache_clear()
-        alone.append(run(*call))
-    for call, ref in zip(calls, alone):
-        assert np.array_equal(run(*call), ref)
+    for op, adjoint, v in calls:
+        fresh = ConvOperator(op.kernel, op.window_radius)
+        assert np.array_equal(apply(op, adjoint, v), apply(fresh, adjoint, v))
 
 
 @pytest.mark.parametrize("name", ["H", "J", "E", "RT"])   # odd, odd, even, none
@@ -208,11 +248,6 @@ def test_conv_operator_direct_path_below_threshold():
     assert np.array_equal(op.apply_dense(v), _convolve_dense_direct(v, kw)[510:1021])
     assert np.array_equal(op.apply_adjoint_dense(v),
                           _convolve_dense_direct(v, kw[::-1])[510:1021])
-
-
-def test_scale_kernel():
-    k = scale_kernel(K.HILBERT, 2.0)
-    assert k.value(3) == 2.0 * K.hilbert_kernel(3)
 
 
 @pytest.mark.parametrize("na,nk", [(1, 1), (2, 7), (513, 1025), (1000, 1000),
