@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Print the kernel literals of ``dhtlab.kernels``, correctly rounded.
+"""Print the kernel literals of ``dhtlab.kernel_entries``, correctly rounded.
 
 They are J_n, F_n and E_n for 0 <= n < 32 (J_0 = F_0 = 0) and the E moments
 M_0 ... M_8.  Each value is computed with mpmath at 30 and at 40 digits and
 rounded to the nearest double; if the two precisions round to different
 doubles the script exits 1.  With ``--check`` it prints nothing and exits 1
-unless the block it would print appears verbatim in ``src/dhtlab/kernels.py``.
+unless the block it would print appears verbatim in
+``src/dhtlab/kernel_entries.py``.
 
     python scripts/make_kernel_literals.py            # print the block
-    python scripts/make_kernel_literals.py --check    # compare with kernels.py
+    python scripts/make_kernel_literals.py --check    # compare with kernel_entries.py
 
 Needs mpmath (the ``test`` extra).  The full run takes a few minutes.
 """
@@ -20,10 +21,11 @@ import textwrap
 
 from mpmath import mp
 
-N0 = 32             # literals below |n| = N0, as in dhtlab.kernels
+N0 = 32             # literals below |n| = N0, as in dhtlab.kernel_entries
 K = 8               # moments M_0 .. M_K
 DIGITS = (30, 40)
-KERNELS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dhtlab", "kernels.py")
+ENTRIES_PY = os.path.join(os.path.dirname(__file__), os.pardir, "src", "dhtlab",
+                          "kernel_entries.py")
 
 
 def _quad(f):
@@ -103,7 +105,7 @@ def _tuple(name, values):
 
 
 def literal_block():
-    """The literal tables as they appear in dhtlab/kernels.py."""
+    """The literal tables as they appear in dhtlab/kernel_entries.py."""
     ns = range(N0)
     return "".join([
         _tuple("_J_SMALL", [correctly_rounded(j_value, n) for n in ns]),
@@ -116,7 +118,7 @@ def literal_block():
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--check", action="store_true",
-                    help="exit 1 unless kernels.py holds exactly this block")
+                    help="exit 1 unless kernel_entries.py holds exactly this block")
     args = ap.parse_args(argv)
     try:
         block = literal_block()
@@ -126,10 +128,10 @@ def main(argv=None) -> int:
     if not args.check:
         print(block, end="")
         return 0
-    with open(KERNELS_PY) as fh:
+    with open(ENTRIES_PY) as fh:
         if block in fh.read():
             return 0
-    print("kernels.py does not hold the literal block; regenerate it", file=sys.stderr)
+    print("kernel_entries.py does not hold the literal block; regenerate it", file=sys.stderr)
     return 1
 
 

@@ -1,13 +1,10 @@
-"""Numerical laboratory for the discrete Hilbert transform and its relatives."""
+"""Numerical laboratory for the discrete Hilbert transform and its relatives.
 
-from dhtlab.numerics import (
-    Exponent,
-    QuadResult,
-    QuadratureError,
-    catalan_beta2,
-    integrate,
-    pichorides_constant,
-)
+The names below come from ``dhtlab.numerics`` on first use (PEP 562), so
+``import dhtlab`` alone loads no numpy.
+"""
+
+import importlib
 
 __all__ = [
     "Exponent",
@@ -19,3 +16,9 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in __all__:
+        return getattr(importlib.import_module("dhtlab.numerics"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

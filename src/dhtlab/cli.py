@@ -14,8 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 _SCHEMA = "dhtlab/1"
 
 
@@ -54,20 +52,21 @@ def _csv_doc(command: str, config: dict, header: str, rows) -> str:
 
 
 def _cmd_kernels(args, parser) -> int:
-    from dhtlab.kernels import KERNELS
-    if args.kernel not in KERNELS:
+    # numpy-free: a dump reads the scalar formulas, not dhtlab.kernels
+    from dhtlab.kernel_entries import PARITY, window_values
+    if args.kernel not in PARITY:
         _fail_usage(parser, f"unknown kernel {args.kernel!r} "
-                            f"(choose from {sorted(KERNELS)})")
+                            f"(choose from {sorted(PARITY)})")
     with _usage_errors(parser):
-        vals = KERNELS[args.kernel].window(args.radius)
+        vals = window_values(args.kernel, args.radius)
     ns = range(-args.radius, args.radius + 1)
     config = {"kernel": args.kernel, "radius": args.radius,
               "format": args.format}
     if args.format == "json":
         doc = _json_doc("kernels", config,
-                        [{"n": n, "value": float(v)} for n, v in zip(ns, vals)])
+                        [{"n": n, "value": v} for n, v in zip(ns, vals)])
     else:
-        rows = [f"{n},{float(v)!r}" for n, v in zip(ns, vals)]
+        rows = [f"{n},{v!r}" for n, v in zip(ns, vals)]
         doc = _csv_doc("kernels", config, "n,value", rows)
     _emit(doc, args.output)
     return 0

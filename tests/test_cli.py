@@ -46,6 +46,29 @@ def test_kernels_output_file(tmp_path, capsys):
     assert path.read_text().splitlines()[1] == "n,value"
 
 
+@pytest.mark.parametrize("radius", [0, 31, 32, 700, 5000])
+def test_kernel_dumps_render_the_array_window(capsys, radius):
+    # a dump evaluates dhtlab.kernel_entries one index at a time; its bytes
+    # are those of a rendering of Kernel.window, the library's array path
+    from dhtlab.kernels import KERNELS
+    ns = range(-radius, radius + 1)
+    for name, kernel in KERNELS.items():
+        vals = [float(v) for v in kernel.window(radius)]
+        for fmt in ("csv", "json"):
+            config = {"kernel": name, "radius": radius, "format": fmt}
+            if fmt == "json":
+                want = json.dumps({"schema": "dhtlab/1", "command": "kernels",
+                                   "config": config,
+                                   "results": [{"n": n, "value": v} for n, v in zip(ns, vals)]},
+                                  indent=2) + "\n"
+            else:
+                want = "\n".join([f"# dhtlab/1 kernels config={json.dumps(config, sort_keys=True)}",
+                                  "n,value", *(f"{n},{v!r}" for n, v in zip(ns, vals))]) + "\n"
+            got = run_cli(capsys, "kernels", "--kernel", name, "--radius", str(radius),
+                          "--format", fmt)
+            assert got == (0, want), (name, fmt)
+
+
 def test_norms_csv_header(capsys):
     rc, out = run_cli(capsys, "norms", "--kernel", "H", "--p", "2",
                       "--radii", "16,32", "--max-iter", "200")
@@ -156,6 +179,7 @@ def test_mc_bad_input_usage_error(capsys, argv):
     ["weaktype", "--window", "0"],
     ["weaktype", "--window", "10"],               # support reaches the edge
     ["weaktype", "--family", "discretized_bumps", "--window", "7"],  # no bump fits
+    ["kernels", "--kernel", "J", "--radius", str(2 ** 62)],  # 2^63 + 1 entries
 ])
 def test_bad_input_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from dhtlab import kernel_entries as KE
 from dhtlab import kernels as K
 from dhtlab.numerics import integrate
 
@@ -270,6 +271,41 @@ def test_reads_at_the_int64_edges(kernel):
     assert kernel.value(3.0) == kernel.value(np.int64(3)) == kernel.value(3)
 
 
+@pytest.mark.parametrize("read", [
+    lambda: K.J.window(2 ** 62),
+    lambda: K.J.read(-2 ** 62, 2 ** 62),
+    lambda: K.J.window(2 ** 62 - 1),
+    lambda: K.HILBERT.window_range(-(2 ** 63 - 1), 2 ** 63 - 2),
+    lambda: K.E.error_window(2 ** 59),
+    lambda: KE.window_values("J", 2 ** 62),
+    lambda: KE.window_values("H", 2 ** 59),
+], ids=["J-window-2^62", "J-read-2^62", "J-window-2^62-1", "H-whole-int64",
+        "E-error-2^59", "dump-J-2^62", "dump-H-2^59"])
+def test_reads_reject_windows_too_long_to_hold(read):
+    # more than 2^60 - 1 entries, whose bytes int64 cannot count: the first
+    # four once returned an empty window (np.arange wraps near 2^63 entries).
+    # The length is checked before anything is allocated.
+    with pytest.raises(ValueError, match="entries"):
+        read()
+
+
+@pytest.mark.parametrize("name", list(K.KERNELS))
+def test_scalar_entries_equal_the_array_path(name):
+    # kernel_entries evaluates one Python int at a time, with no numpy: the
+    # literals, the seam, the series and the int64 edges all have the bits
+    # of Kernel.evaluate, and so does its window
+    kernel = K.KERNELS[name]
+    ns = list(range(-70, 71)) + [2 ** 62]
+    ns += [s * n for n in (31, 32, 33, 4096, 10 ** 6, 2 ** 63 - 2) for s in (1, -1)]
+    want, _ = kernel.evaluate(ns)
+    got = np.array([KE.entry(name, n) for n in ns])
+    assert got.tobytes() == want.tobytes()
+    for r in (0, 1, 33, 70):
+        assert np.array(KE.window_values(name, r)).tobytes() == kernel.window(r).tobytes()
+    with pytest.raises(ValueError, match="kernel index"):
+        KE.entry(name, 2 ** 63 - 1)
+
+
 def test_parity_flags():
     assert K.J.parity == "odd" and K.E.parity == "even"
     assert K.RT.parity == "none"
@@ -307,7 +343,7 @@ def _mp_e(mp, n):
                     [0, 1, 5, 20, 60, mp.inf])
 
 
-@pytest.mark.parametrize("n", [1, 7, K._N0 - 1, K._N0, 1000, 10 ** 5])
+@pytest.mark.parametrize("n", [1, 7, KE.N0 - 1, KE.N0, 1000, 10 ** 5])
 def test_j_f_within_bar_of_mpmath_oracle(n):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
@@ -324,7 +360,7 @@ def test_whole_f_table_within_bar_of_mpmath_oracle():
     # once had entries 3 ulps off)
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        for n in range(1, K._N0):
+        for n in range(1, KE.N0):
             true = _mp_f_integral(mp, n) / (mp.pi * n)
             assert abs(mp.mpf(K.f_kernel(n)) - true) <= _bar(K.F, n), n
 
@@ -342,7 +378,7 @@ def test_literals_and_series_agree_at_the_seam():
     # lie within their own bars of the integral, on both sides of n = 0
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        for n in (K._N0 - 1, K._N0):
+        for n in (KE.N0 - 1, KE.N0):
             integral = _mp_f_integral(mp, n)
             for kernel, true in ((K.J, (1 + integral) / (mp.pi * n)),
                                  (K.F, integral / (mp.pi * n)), (K.E, _mp_e(mp, n))):
@@ -353,22 +389,22 @@ def test_literals_and_series_agree_at_the_seam():
 
 
 def test_series_moments():
-    big_m = K._E_MOMENTS
-    m, m_err = K._J_F_MOMENTS
+    big_m = KE._E_MOMENTS
+    m, m_err = KE._J_F_MOMENTS, KE._J_F_MOMENT_BARS
     # M_0 = 1 exactly: its integrand is -d/dy [y^2 / sinh^2 y]
     assert big_m[0] == 1.0
     assert K.e_tail_constant() == 1.0 / math.pi ** 2
     # closed-form J/F moments against their defining integrals
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
-        for k in range(K._K + 1):
+        for k in range(KE._K + 1):
             true = mp.quad(lambda y: 2 * y ** (2 * k + 3) / mp.sinh(y) ** 2,
                            [0, 1, 5, 20, 60, mp.inf])
             assert abs(mp.mpf(m[k]) - true) <= m_err[k]
     # at n0 the series remainder is below one rounding of the entry
-    a2 = (math.pi * K._N0) ** 2
-    assert m[K._K] / a2 ** (K._K + 1) <= EPS * abs(K.f_kernel(K._N0)) * math.pi * K._N0
-    assert big_m[K._K] / a2 ** (K._K + 1) <= EPS * abs(K.e_kernel(K._N0))
+    a2 = (math.pi * KE.N0) ** 2
+    assert m[KE._K] / a2 ** (KE._K + 1) <= EPS * abs(K.f_kernel(KE.N0)) * math.pi * KE.N0
+    assert big_m[KE._K] / a2 ** (KE._K + 1) <= EPS * abs(K.e_kernel(KE.N0))
 
 
 @pytest.mark.parametrize("kernel,radius", [(K.F, 31), (K.E, 881), (K.F, 5873)])
@@ -392,11 +428,11 @@ def test_zeta_literals_and_moments():
     # correctly rounded, and the J/F moments built from them are < 0.4 eps off
     mp = pytest.importorskip("mpmath")
     from scipy.special import zeta
-    s = np.array([2.0 * k + 3.0 for k in range(K._K + 1)])
-    assert np.array_equal(np.array(K._ZETA_ODD), zeta(s))
-    m, _ = K._J_F_MOMENTS
+    s = np.array([2.0 * k + 3.0 for k in range(KE._K + 1)])
+    assert np.array_equal(np.array(KE._ZETA_ODD), zeta(s))
+    m = KE._J_F_MOMENTS
     with mp.workdps(40):
-        for k, z in enumerate(K._ZETA_ODD):
+        for k, z in enumerate(KE._ZETA_ODD):
             assert z == float(mp.zeta(2 * k + 3))
             true = mp.ldexp(mp.factorial(2 * k + 3), -2 * k - 1) * mp.zeta(2 * k + 3)
             assert abs(mp.mpf(m[k]) - true) <= 0.4 * EPS * true
@@ -433,12 +469,12 @@ def test_literal_sample_regenerates(table, index):
     fn = {"_J_SMALL": gen.j_value, "_F_SMALL": gen.f_value,
           "_E_SMALL": gen.e_value, "_E_MOMENTS": gen.e_moment}[table]
     with gen.mp.workdps(30):
-        assert float(fn(index)) == getattr(K, table)[index]
+        assert float(fn(index)) == getattr(KE, table)[index]
 
 
 @pytest.mark.heavy
 def test_literal_block_regenerates():
-    # every literal at 30 and 40 digits, compared with the block in kernels.py
+    # every literal at 30 and 40 digits, compared with the block in kernel_entries.py
     _generator()
     proc = subprocess.run([sys.executable, GENERATOR, "--check"],
                           capture_output=True, text=True, timeout=1200)

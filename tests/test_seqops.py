@@ -303,6 +303,37 @@ def test_kernel_dumps_do_not_import_scipy():
     assert _run_fresh(code).strip() == "[]"
 
 
+def test_kernel_dumps_do_not_import_numpy():
+    # a dump reads dhtlab.kernel_entries alone: all seven kernels, from the
+    # literals and the series, in both formats, load no numpy; nor does a
+    # bare `import dhtlab`, whose numerics names still import on first use
+    runs = [["kernels", "--kernel", k, "--radius", r, "--format", f]
+            for k in ("H", "RT", "K", "ADP", "J", "F", "E")
+            for r in ("10", "5000") for f in ("csv", "json")]
+    code = ("import io, sys, contextlib\n"
+            "import dhtlab\n"
+            "print('numpy' in sys.modules)\n"
+            "from dhtlab.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n"
+            "from dhtlab import Exponent, integrate\n"
+            "print(Exponent(4.0).q, integrate.__module__, 'numpy' in sys.modules)\n")
+    assert _run_fresh(code).split() == ["False", "False", "1.3333333333333333",
+                                        "dhtlab.numerics", "True"]
+    # the module entry point itself: no numpy in the import log
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "dhtlab.cli",
+                           "kernels", "--kernel", "J", "--radius", "40"],
+                          env=env, check=True, capture_output=True, text=True)
+    imported = [ln.rsplit("|", 1)[-1].strip() for ln in proc.stderr.splitlines()
+                if ln.startswith("import time:")]
+    assert "dhtlab.kernel_entries" in imported
+    assert [m for m in imported if m.split(".")[0] == "numpy"] == []
+
+
 def test_halfplane_imports_no_other_dhtlab_module():
     # halfplane is the one home of p_n, G and h: it depends on no other
     # dhtlab module (beyond what the package itself loads), and the Monte
