@@ -12,13 +12,17 @@ relative step error stays uniform while descents from large heights remain
 affordable.  The base dt applies inside the boundary layer and must satisfy
 dt <= kill_eps^2/4 so the layer is resolved.
 
-Paths are simulated in fixed-size vectorized chunks with per-chunk derived
-random streams; identical (config, seed, paths) inputs give bit-identical
-results.  The path itself (drift, step, taming, draws, absorption) never
-reads h, and neither the functional nor the occupation binning changes the
-path, so a step only copies the states of its live paths, with their global
-indices, into flat path-step buffers.  Once those hold ``_BATCH`` path-steps
-(and at the end of the run), one pass evaluates 1/h and grad log h
+Paths are simulated in fixed-size vectorized chunks that share no state:
+chunk c runs on the stream ``SeedSequence(seed, spawn_key=(c,))`` and owns
+its buffers, indices and flushes (``_simulate_chunk``), and ``_simulate``
+only joins the chunks' arrays in chunk order.  Identical (config, seed,
+paths) inputs give bit-identical results.  A path is absorbed below
+``kill_eps`` within 5 ``kill_eps`` of the target abscissa.  The path itself
+(drift, step, taming, draws, absorption) never reads h, and neither the
+functional nor the occupation binning changes the path, so a step only
+copies the states of its live paths, with their chunk-local indices, into
+flat path-step buffers.  Once those hold ``_BATCH`` path-steps (and at the
+end of the chunk), one pass evaluates 1/h and grad log h
 (``halfplane.h_fields``), the functional and the occupation cells for the
 whole batch, and ``np.add.at`` adds the terms into the per-path sums; this
 spreads numpy's per-call cost, which dominates at the narrow widths most
@@ -66,12 +70,12 @@ class SdeConfig:
 
     ``n`` is the target lattice site (absorption at 2 pi n); ``start`` the
     launch point (x0, y0); ``dt`` the boundary-layer step; ``kill_eps`` the
-    absorption height; ``match_radius`` the horizontal half-width of the
-    absorption window around the target.  The window must stay pole-scale
-    (default 5 kill_eps): the conditioned process can only exit at the pole,
-    and a low pass far from it gets pushed back up by the 1/y drift, so a
-    wide window would truncate genuine excursions.  ``step_scale`` and
-    ``dt_cap`` control the height-adaptive step.
+    absorption height.  A path is absorbed below ``kill_eps`` within the
+    window |x - 2 pi n| < 5 kill_eps.  The window stays pole-scale: the
+    conditioned process can only exit at the pole, and a low pass far from
+    it gets pushed back up by the 1/y drift, so a wide window would truncate
+    genuine excursions.  ``step_scale`` and ``dt_cap`` control the
+    height-adaptive step.
     """
 
     n: int
@@ -80,7 +84,6 @@ class SdeConfig:
     kill_eps: float = 2e-2
     max_time: float = 1e3
     seed: int = 0
-    match_radius: float = 0.1
     step_scale: float = 2.5e-3
     dt_cap: float = 5.0
 
@@ -93,9 +96,8 @@ class SdeConfig:
             raise ValueError("start must be finite with a positive height")
         if not 0 < self.max_time < math.inf:
             raise ValueError("max_time must be finite and positive")
-        # a NaN step never reaches max_time, and a NaN or empty absorption
-        # window absorbs no path, so either would run without end
-        for name in ("step_scale", "dt_cap", "match_radius"):
+        # a NaN step never reaches max_time, so the run would go on without end
+        for name in ("step_scale", "dt_cap"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         if self.dt_cap < self.dt:
@@ -169,52 +171,33 @@ def _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts):
     return q * ((xm * ydy - (xx - yy) * dx) / r2 - rot)
 
 
-def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
-              antithetic: bool = False, grid: OccupationGrid | None = None,
-              chunk_size: int = 4096):
-    """Vectorized path engine.
+def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
+                    grid: OccupationGrid | None):
+    """Run paths 0..m-1 of chunk ``chunk`` on its own derived random stream.
 
-    Returns (component_sums, absorbed, lifetimes, end_xy, occupation) where
-    component_sums has one row per support site of ``a`` (so the functional
-    is linear in the coefficients by construction), and occupation is the
-    per-path time spent in each grid cell (or None).
+    The chunk owns all of its state (path-step buffers, path indices,
+    flushes), so its results depend only on (ms, cfg, chunk, m, grid).
+    Returns (comp, absorbed, lifetimes, end_x, end_y, occ) for its m paths.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths >= 1 required")
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic runs need an even path count")
-
-    if a is not None:
-        at = a.trimmed()
-        ms = np.arange(at.support[0], at.support[1] + 1) if not at.is_zero() \
-            else np.zeros(0, dtype=int)
-        n_support = len(ms)
-    else:
-        ms = np.zeros(0, dtype=int)
-        n_support = 0
+    n_support = len(ms)
     # one broadcast over all sites; a single site stays one-dimensional,
     # which costs less per numpy call at the small widths most steps run at
     shifts = _TWO_PI * ms if n_support == 1 else (_TWO_PI * ms)[:, None]
-
     target = _TWO_PI * cfg.n
-    comp = np.zeros((n_support, n_paths))
-    absorbed = np.zeros(n_paths, dtype=bool)
-    lifetimes = np.zeros(n_paths)
-    end_x = np.zeros(n_paths)
-    end_y = np.zeros(n_paths)
-    occ = np.zeros((n_paths, grid.cells)) if grid is not None else None
+    window = 5.0 * cfg.kill_eps           # absorption half-width, see SdeConfig
+    comp = np.zeros((n_support, m))
+    absorbed = np.zeros(m, dtype=bool)
+    lifetimes = np.zeros(m)
+    end_x = np.zeros(m)
+    end_y = np.zeros(m)
+    occ = np.zeros((m, grid.cells)) if grid is not None else None
     if grid is not None:
         wx = (grid.x_max - grid.x_min) / grid.nx
         wy = (grid.y_max - grid.y_min) / grid.ny
 
-    step_groups = n_paths // 2 if antithetic else n_paths
-    group = 2 if antithetic else 1
-    per_chunk = chunk_size // group
-
-    # path-step buffers, one flat array per quantity; a step appends its
-    # live paths, and the first chunk is the widest, so _BATCH plus its
-    # width never overflows them
-    cap = _BATCH + min(per_chunk, step_groups) * group
+    # path-step buffers, one flat array per quantity; a step appends at most
+    # m live paths, so _BATCH + m never overflows them
+    cap = _BATCH + m
     fill = 0
     buf_idx = np.empty(cap, dtype=np.int64)
     if n_support:
@@ -247,94 +230,95 @@ def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
             flat = ib * grid.cells + iy * grid.nx + ix
             np.add.at(occ.reshape(-1), flat[inside], buf_dt[:k][inside])
 
-    chunk_idx = 0
-    done_groups = 0
-    while done_groups < step_groups:
-        g = min(per_chunk, step_groups - done_groups)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk_idx,)))
-        base = done_groups * group
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk,)))
+    idx = np.arange(m)
+    x = np.full(m, cfg.start[0])
+    y = np.full(m, cfg.start[1])
+    t = np.zeros(m)
+    dtk_prev = np.zeros(m)
 
-        m = g * group
-        idx = np.arange(base, base + m)         # global path index
-        x = np.full(m, cfg.start[0])
-        y = np.full(m, cfg.start[1])
-        t = np.zeros(m)
-        dtk_prev = np.zeros(m)
+    while len(x) > 0:
+        dtk = np.minimum(np.maximum(cfg.step_scale * y * y, cfg.dt), cfg.dt_cap)
+        bx, by = drift_field(cfg, x, y)
+        end = fill + len(x)
+        buf_idx[fill:end] = idx
+        if n_support:
+            buf_x[fill:end] = x
+            buf_y[fill:end] = y
+            buf_bx[fill:end] = bx
+            buf_by[fill:end] = by
+            np.add(dtk_prev, dtk, out=buf_dtsum[fill:end])
+        # bound the drift displacement by twice the noise scale: far from
+        # the boundary pole this is the identity (no taming bias), near
+        # the pole it keeps single steps finite like standard taming
+        root = np.sqrt(dtk)
+        tame = dtk / np.maximum(1.0, np.hypot(bx, by) * root / 2.0)
+        xi = rng.standard_normal((len(x), 2))
+        x_new = x + bx * tame + root * xi[:, 0]
+        y_new = y + by * tame + root * xi[:, 1]
+        if occ is not None:
+            np.add(x, x_new, out=buf_mx[fill:end])
+            np.add(y, y_new, out=buf_my[fill:end])
+            buf_dt[fill:end] = dtk
+        fill = end
+        if fill >= _BATCH:
+            flush(fill)
+            fill = 0
+        x = x_new
+        y = y_new
+        t += dtk
 
-        while len(x) > 0:
-            dtk = np.minimum(np.maximum(cfg.step_scale * y * y, cfg.dt), cfg.dt_cap)
-            bx, by = drift_field(cfg, x, y)
-            end = fill + len(x)
-            buf_idx[fill:end] = idx
-            if n_support:
-                buf_x[fill:end] = x
-                buf_y[fill:end] = y
-                buf_bx[fill:end] = bx
-                buf_by[fill:end] = by
-                np.add(dtk_prev, dtk, out=buf_dtsum[fill:end])
-            # bound the drift displacement by twice the noise scale: far from
-            # the boundary pole this is the identity (no taming bias), near
-            # the pole it keeps single steps finite like standard taming
-            root = np.sqrt(dtk)
-            tame = dtk / np.maximum(1.0, np.hypot(bx, by) * root / 2.0)
-            if antithetic:
-                half = len(x) // 2
-                xi = rng.standard_normal((half, 2))
-                noise_x = np.concatenate([xi[:, 0], -xi[:, 0]])
-                noise_y = np.concatenate([xi[:, 1], xi[:, 1]])
-            else:
-                xi = rng.standard_normal((len(x), 2))
-                noise_x, noise_y = xi[:, 0], xi[:, 1]
-            x_new = x + bx * tame + root * noise_x
-            y_new = y + by * tame + root * noise_y
-            if occ is not None:
-                np.add(x, x_new, out=buf_mx[fill:end])
-                np.add(y, y_new, out=buf_my[fill:end])
-                buf_dt[fill:end] = dtk
-            fill = end
-            if fill >= _BATCH:
-                flush(fill)
-                fill = 0
-            x = x_new
-            y = y_new
-            t += dtk
-
-            # only a path below kill_eps can be absorbed or need reflecting;
-            # count_nonzero is a cheaper truth test than .any() at small widths
-            absorb_now = y < cfg.kill_eps
-            if np.count_nonzero(absorb_now):
-                absorb_now &= np.abs(x - target) < cfg.match_radius
-                reflect = (y <= 0.0) & ~absorb_now
-                if np.count_nonzero(reflect):
-                    y[reflect] = np.maximum(np.abs(y[reflect]), 1e-12)
-            done = absorb_now | (t >= cfg.max_time)
-            if antithetic:
-                # keep pairs in lockstep: a pair retires only when both are done
-                half = len(x) // 2
-                pair_done = done[:half] & done[half:]
-                done = np.concatenate([pair_done, pair_done])
-            if np.count_nonzero(done):
-                sel = idx[done]
-                absorbed[sel] = absorb_now[done]
-                lifetimes[sel] = t[done]
-                end_x[sel] = x[done]
-                end_y[sel] = y[done]
-                keep = ~done
-                x, y, t, idx = x[keep], y[keep], t[keep], idx[keep]
-                dtk = dtk[keep]
-            dtk_prev = dtk
-
-        done_groups += g
-        chunk_idx += 1
+        # only a path below kill_eps can be absorbed or need reflecting;
+        # count_nonzero is a cheaper truth test than .any() at small widths
+        absorb_now = y < cfg.kill_eps
+        if np.count_nonzero(absorb_now):
+            absorb_now &= np.abs(x - target) < window
+            reflect = (y <= 0.0) & ~absorb_now
+            if np.count_nonzero(reflect):
+                y[reflect] = np.maximum(np.abs(y[reflect]), 1e-12)
+        done = absorb_now | (t >= cfg.max_time)
+        if np.count_nonzero(done):
+            sel = idx[done]
+            absorbed[sel] = absorb_now[done]
+            lifetimes[sel] = t[done]
+            end_x[sel] = x[done]
+            end_y[sel] = y[done]
+            keep = ~done
+            x, y, t, idx = x[keep], y[keep], t[keep], idx[keep]
+            dtk = dtk[keep]
+        dtk_prev = dtk
 
     if fill:
         flush(fill)
-    return comp, ms, absorbed, lifetimes, (end_x, end_y), occ
+    return comp, absorbed, lifetimes, end_x, end_y, occ
 
 
-def estimate_T(a: Seq, cfg: SdeConfig, paths: int,
-               antithetic: bool = False) -> PathStats:
+def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
+              grid: OccupationGrid | None = None, chunk_size: int = 4096):
+    """Vectorized path engine: chunks of ``chunk_size`` paths, joined in order.
+
+    Returns (component_sums, ms, absorbed, lifetimes, end_xy, occupation)
+    where component_sums has one row per support site ``ms`` of ``a`` (so the
+    functional is linear in the coefficients by construction), and
+    occupation is the per-path time spent in each grid cell (or None).
+    """
+    if n_paths < 1:
+        raise ValueError("n_paths >= 1 required")
+    at = a.trimmed() if a is not None else None
+    if at is None or at.is_zero():
+        ms = np.zeros(0, dtype=int)
+    else:
+        ms = np.arange(at.support[0], at.support[1] + 1)
+    chunks = [_simulate_chunk(ms, cfg, c, min(chunk_size, n_paths - start), grid)
+              for c, start in enumerate(range(0, n_paths, chunk_size))]
+    comp, absorbed, lifetimes, end_x, end_y, occ = zip(*chunks)
+    return (np.concatenate(comp, axis=1), ms, np.concatenate(absorbed),
+            np.concatenate(lifetimes), (np.concatenate(end_x), np.concatenate(end_y)),
+            np.concatenate(occ) if grid is not None else None)
+
+
+def estimate_T(a: Seq, cfg: SdeConfig, paths: int) -> PathStats:
     """Monte Carlo mean and standard error of the conditioned functional.
 
     For starts high above the target this estimates the J-convolution of
@@ -342,7 +326,7 @@ def estimate_T(a: Seq, cfg: SdeConfig, paths: int,
     per-site time integrals are accumulated separately and combined at the
     end), so scaling ``a`` scales the estimate with no extra rounding.
     """
-    comp, ms, absorbed, _, _, _ = _simulate(a, cfg, paths, antithetic=antithetic)
+    comp, ms, absorbed, _, _, _ = _simulate(a, cfg, paths)
     coef = np.array([a[int(m)] for m in ms])
     samples = coef @ comp if len(ms) else np.zeros(paths)
     mean = float(np.mean(samples))

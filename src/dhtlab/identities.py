@@ -81,6 +81,12 @@ def _rot_dot(ax, ay, bx, by):
 
 # -- lattice sum and elementary bounds ----------------------------------------
 
+def _lattice_sum(x: float, y: float, N: int) -> float:
+    """Partial lattice sum of p_k(x, y) over |k| <= N, the pairs +-k in one fsum."""
+    ks = np.arange(1, N + 1)
+    return poisson_p(0, x, y) + math.fsum(poisson_p(ks, x, y) + poisson_p(-ks, x, y))
+
+
 def verify_poisson_sum(pt: PlanePoint, N: int) -> IdentityReport:
     """Partial lattice sum of the p_n against the closed form of h.
 
@@ -92,16 +98,26 @@ def verify_poisson_sum(pt: PlanePoint, N: int) -> IdentityReport:
         raise ValueError("N >= 1 required")
     x = pt.x - _TWO_PI * round(pt.x / _TWO_PI)
     y = pt.y
-    ks = np.arange(1, N + 1)
-    s = poisson_p(0, x, y) + math.fsum(poisson_p(ks, x, y) + poisson_p(-ks, x, y))
+    s = _lattice_sum(x, y, N)
     tail = y / (_PI ** 3 * (2 * N - 1))
     return IdentityReport.make(f"poisson_sum(x={pt.x},y={pt.y},N={N})",
                                s, 1.0 / h_fields(x, y)[0], tail + 1e-13 * abs(s))
 
 
 def verify_h_normalization() -> IdentityReport:
-    """The lattice sum carries the 1/(2 pi) normalization; see the report."""
-    return _h_normalization_report()
+    """The lattice sum carries the 1/(2 pi) factor: check at (pi, 1) where the
+    two normalizations differ by 2 pi."""
+    N = 4000
+    x, y = _PI, 1.0
+    s = _lattice_sum(x, y, N)
+    with_factor = 1.0 / h_fields(x, y)[0]
+    without_factor = _TWO_PI * with_factor
+    tol = y / (_PI ** 3 * (2 * N - 1)) + 1e-12
+    ok = bool(abs(s - with_factor) <= tol
+              and abs(s - without_factor) > 1000 * tol)
+    return IdentityReport("h_sum_normalization(pi,1)", float(s),
+                          float(with_factor), float(abs(s - with_factor)),
+                          float(tol), ok)
 
 
 def verify_h_bounds(pt: PlanePoint) -> IdentityReport:
@@ -255,13 +271,13 @@ def _int6_combined_integrand(n: int, y: float):
     return f
 
 
-def int6_closed(n: int, y: float) -> float:
-    """Closed form of the combined x-integral; the second term carries
-    (y^2 + pi^2 n^2) to the first power."""
+def int6_closed(n: int, y):
+    """Closed form of the combined x-integral, elementwise in y; the second
+    term carries (y^2 + pi^2 n^2) to the first power."""
     pn2 = (_PI * n) ** 2
     d = y * y + pn2
     return _PI * n * (3.0 * y * y - pn2) / d ** 3 \
-        + y * y * float(csch_sq(y)) / (_PI * n * d)
+        + y * y * csch_sq(y) / (_PI * n * d)
 
 
 def verify_int6(n: int, y: float, rel_tol: float = 1e-9) -> IdentityReport:
@@ -322,10 +338,7 @@ def verify_jn_double_integral(n: int, tol: float = 1e-6, *,
     else:
         def outer(y):
             y = np.asarray(y, dtype=float)
-            pn2 = (_PI * n) ** 2
-            d = y * y + pn2
-            return 2.0 * y * (_PI * n * (3.0 * y * y - pn2) / d ** 3
-                              + y * y * csch_sq(y) / (_PI * n * d))
+            return 2.0 * y * int6_closed(n, y)
         q = integrate(outer, 0.0, math.inf, 1e-10)
 
     rhs = j_kernel(n)
@@ -407,8 +420,9 @@ def verify_ihj(n: int, M: int) -> IdentityReport:
     """
     if M < 100:
         raise ValueError("M >= 100 required")
-    w = E.window_range(n - M, n + M)
-    errs = E.error_window(max(abs(n - M), abs(n + M)))
+    R = max(abs(n - M), abs(n + M))
+    window = E.read(-R, R)
+    w = window.window_range(n - M, n + M)
 
     def values_at(idx):
         return w[idx - (n - M)]
@@ -417,7 +431,7 @@ def verify_ihj(n: int, M: int) -> IdentityReport:
     rhs = f_kernel(n)
     c_tail = e_tail_constant()
     tail = 2.0 * c_tail / (_PI * M * max(M - abs(n) - 1, 1))
-    quad_budget = 2.0 * float(np.sum(errs)) / _PI + float(F.error_window(abs(n))[-1])
+    quad_budget = 2.0 * float(np.sum(window.bars)) / _PI + float(F.read(n, n).bars[0])
     return IdentityReport.make(f"dht_e_equals_f(n={n},M={M})", lhs, rhs,
                                tail + quad_budget + 1e-13 * max(abs(rhs), 1e-3))
 
@@ -469,7 +483,7 @@ def run_section3_suite(profile: str = "default") -> list[IdentityReport]:
 
     for (x, y) in [(0.0, 1.0), (1.7, 0.4), (-2.0, 3.0)]:
         reports.append(verify_poisson_sum(PlanePoint(x, y), 1000))
-    reports.append(_h_normalization_report())
+    reports.append(verify_h_normalization())
     for (x, y) in [(0.3, 2.0), (2.5, 0.2), (0.0, 7.0)]:
         reports.append(verify_h_bounds(PlanePoint(x, y)))
     reports.append(h_lower_bound_correction())
@@ -499,20 +513,3 @@ def run_section3_suite(profile: str = "default") -> list[IdentityReport]:
     for n in (1, 2, 3):
         reports.append(verify_ihj(n, 2000))
     return reports
-
-
-def _h_normalization_report() -> IdentityReport:
-    """The lattice sum carries the 1/(2 pi) factor: check at (pi, 1) where the
-    two normalizations differ by 2 pi."""
-    N = 4000
-    x, y = _PI, 1.0
-    ks = np.arange(1, N + 1)
-    s = poisson_p(0, x, y) + math.fsum(poisson_p(ks, x, y) + poisson_p(-ks, x, y))
-    with_factor = 1.0 / h_fields(x, y)[0]
-    without_factor = _TWO_PI * with_factor
-    tol = y / (_PI ** 3 * (2 * N - 1)) + 1e-12
-    ok = bool(abs(s - with_factor) <= tol
-              and abs(s - without_factor) > 1000 * tol)
-    return IdentityReport("h_sum_normalization(pi,1)", float(s),
-                          float(with_factor), float(abs(s - with_factor)),
-                          float(tol), ok)

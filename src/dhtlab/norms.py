@@ -50,13 +50,6 @@ class NormEstimate:
     history: tuple = ()
 
 
-def _dense_lp(v: np.ndarray, p: float) -> float:
-    av = np.abs(v)
-    if p == 2.0:
-        return float(np.sqrt(np.dot(av, av)))
-    return float((av ** p).sum() ** (1.0 / p))
-
-
 def _psi(v: np.ndarray, r: float) -> np.ndarray:
     """|v|^(r-1) sign v, the duality map between l^r and its dual."""
     return np.sign(v) * np.abs(v) ** (r - 1.0)
@@ -70,7 +63,7 @@ def test_vector_bound(op: ConvOperator, a: Seq, e: Exponent) -> float:
     v = a.to_dense(-n, n)
     if not np.any(v):
         raise ValueError("test vector vanishes inside the window")
-    return _dense_lp(op.apply_dense(v), e.p) / lp_norm(a, e)
+    return lp_norm(op.apply_dense(v), e.p) / lp_norm(a, e)
 
 
 def _seed_vector(n: int, p: float, seed: int) -> np.ndarray:
@@ -88,7 +81,7 @@ def _run_iteration(apply_fwd, apply_adj, p: float, a: np.ndarray,
     """Core nonlinear power loop; returns (value, certificate, history,
     residual, converged)."""
     q = p / (p - 1.0)
-    a = a / _dense_lp(a, p)
+    a = a / lp_norm(a, p)
     history: list[float] = []
     cert = a
     val = 0.0
@@ -96,7 +89,7 @@ def _run_iteration(apply_fwd, apply_adj, p: float, a: np.ndarray,
     residual = math.inf
     for _ in range(max_iter):
         b = apply_fwd(a)
-        val = _dense_lp(b, p)
+        val = lp_norm(b, p)
         if not math.isfinite(val):
             raise ValueError(f"non-finite norm {val!r} in the power iteration")
         history.append(val)
@@ -111,7 +104,7 @@ def _run_iteration(apply_fwd, apply_adj, p: float, a: np.ndarray,
                 break
         d = apply_adj(_psi(b, p))
         a = _psi(d, q)
-        a /= _dense_lp(a, p)
+        a /= lp_norm(a, p)
     return val, cert, history, residual, converged
 
 
@@ -167,7 +160,7 @@ def _krylov_schur(op: ConvOperator, e: Exponent, max_iter: int, tol: float,
                           dtype=float).reshape(-1, size)
     basis, ritz, tmp = store[:_BASIS + 1], store[_BASIS + 1:-1], store[-1]
     v = _seed_vector(n, 2.0, seed)
-    np.divide(v, _dense_lp(v, 2.0), out=basis[0])
+    np.divide(v, lp_norm(v, 2.0), out=basis[0])
     k = 1                                   # rows of basis in use
     proj = np.zeros((_BASIS, _BASIS))
     history: list[float] = []
@@ -207,7 +200,7 @@ def _krylov_schur(op: ConvOperator, e: Exponent, max_iter: int, tol: float,
             k = _KEEP + 1
 
     u = np.einsum("i,ij->j", s, basis[:k])
-    value = _dense_lp(op.apply_dense(u), 2.0) / _dense_lp(u, 2.0)
+    value = lp_norm(op.apply_dense(u), 2.0) / lp_norm(u, 2.0)
     return NormEstimate(value=value, certificate=Seq(-n, u), p=e,
                         window_radius=n, iterations=len(history),
                         residual=residual, converged=converged,

@@ -96,14 +96,14 @@ class Seq:
         return not np.any(self.values)
 
 
-def lp_norm(a: Seq, p) -> float:
-    """The l^p norm of a finitely supported sequence; p may be an Exponent,
-    a real in [1, inf), or math.inf."""
+def lp_norm(a: Seq | np.ndarray, p) -> float:
+    """The l^p norm of a finitely supported sequence or of a dense array; p
+    may be an Exponent, a real in [1, inf), or math.inf."""
     if isinstance(p, Exponent):
         p = p.p
     if not p >= 1:                      # also rejects NaN
         raise ValueError(f"p must be >= 1, got {p!r}")
-    v = np.abs(a.values)
+    v = np.abs(a.values if isinstance(a, Seq) else a)
     if len(v) == 0:
         return 0.0
     if p == math.inf:

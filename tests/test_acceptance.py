@@ -183,8 +183,7 @@ def test_criterion_11_monte_carlo():
     # stays below the statistical resolution; the pole-adaptive step keeps
     # this affordable.
     cfg_occ = SdeConfig(n=1, start=(2 * math.pi, 8.0), seed=SEED_OCCUPATION,
-                        kill_eps=4e-3, dt=4e-6, match_radius=2e-2,
-                        max_time=4e4)
+                        kill_eps=4e-3, dt=4e-6, max_time=4e4)
     grid = OccupationGrid(x_min=math.pi, x_max=3 * math.pi,
                           y_min=1.0, y_max=5.0, nx=10, ny=10)
     occ = occupation_check(cfg_occ, grid, 100_000)

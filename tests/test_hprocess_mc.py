@@ -8,8 +8,9 @@ import pytest
 import dhtlab.hprocess_mc as mc
 from dhtlab.halfplane import h_fields
 from dhtlab.hprocess_mc import (OccupationGrid, PathStats, SdeConfig,
-                                _simulate, drift_field, estimate_T,
-                                expected_occupation, occupation_check)
+                                _simulate, _simulate_chunk, drift_field,
+                                estimate_T, expected_occupation,
+                                occupation_check)
 from dhtlab.seqops import Seq
 
 TWO_PI = 2.0 * math.pi
@@ -28,10 +29,10 @@ def test_config_validation():
     for start in ((math.nan, 1.0), (0.0, math.inf)):   # NaN paths never time out
         with pytest.raises(ValueError):
             SdeConfig(n=0, start=start)
-    # a NaN step never reaches max_time and a NaN or empty absorption window
-    # absorbs nothing, so each of these would simulate without end
+    # a NaN step never reaches max_time, so each of these would simulate
+    # without end
     bad = [dict(max_time=v) for v in (0.0, math.inf, math.nan)]
-    bad += [{name: v} for name in ("step_scale", "dt_cap", "match_radius")
+    bad += [{name: v} for name in ("step_scale", "dt_cap")
             for v in (0.0, -1.0, math.inf, math.nan)]
     bad.append(dict(dt=1e-4, dt_cap=5e-5))
     for kwargs in bad:
@@ -97,17 +98,13 @@ ESTIMATE_T_PINS = [
      ("0x1.386df12948449p-3", "0x1.dd339ffd41c7fp-7"), "0x1.0000000000000p+0"),
     (("0x1.23d7b7ea7e326p-3", "0x1.ffa76a381050dp-7"),
      ("0x1.23d7b7ea7e326p-3", "0x1.ffa76a381050cp-7"), "0x1.0000000000000p+0"),
-    (("0x1.8d56e0a276e23p-3", "0x1.5ac95230b57e4p-6"),
-     ("0x1.8d56e0a276e23p-3", "0x1.5ac95230b57e5p-6"), "0x1.fae147ae147aep-1"),
 ]
 
 
 def test_golden_estimate_T_bits():
     cfg = SdeConfig(n=1, start=(TWO_PI, 4.0), seed=7, max_time=2000.0)
-    cfg_a = SdeConfig(n=1, start=(TWO_PI, 5.0), seed=4, max_time=2000.0)
     runs = [estimate_T(Seq.delta(0), cfg, 300),
-            estimate_T(Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 300),
-            estimate_T(Seq.delta(0), cfg_a, 200, antithetic=True)]
+            estimate_T(Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 300)]
     for stats, (now, before, killed) in zip(runs, ESTIMATE_T_PINS):
         assert _stats_hex(stats) == (*now, killed)
         assert all(_ulps(a, b) <= 1 for a, b in zip(now, before))
@@ -167,10 +164,22 @@ def test_batch_size_leaves_bits_unchanged(monkeypatch, batch):
     # must still receive its terms one by one, in step order
     monkeypatch.setattr(mc, "_BATCH", batch)
     assert _multichunk_digests() == GOLDEN_MULTICHUNK
-    cfg_a = SdeConfig(n=1, start=(TWO_PI, 5.0), seed=4, max_time=2000.0)
-    now, _, killed = ESTIMATE_T_PINS[2]
-    stats = estimate_T(Seq.delta(0), cfg_a, 200, antithetic=True)
-    assert _stats_hex(stats) == (*now, killed)
+
+
+@pytest.mark.parametrize("n_paths", [96, 65])
+def test_chunks_are_independent(n_paths):
+    # a run is its chunks run alone and joined in order: a full and a
+    # partial chunk, and a last chunk one path wide
+    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=300.0)
+    a = Seq.from_dict({0: 1.0, -1: -1.0})
+    comp, ms, absorbed, life, (ex, ey), occ = _simulate(
+        a, cfg, n_paths, grid=GOLDEN_GRID, chunk_size=64)
+    parts = [_simulate_chunk(ms, cfg, 0, 64, GOLDEN_GRID),
+             _simulate_chunk(ms, cfg, 1, n_paths - 64, GOLDEN_GRID)]
+    joined = [np.concatenate([p[i] for p in parts], axis=-1 if i == 0 else 0)
+              for i in range(6)]
+    for got, want in zip((comp, absorbed, life, ex, ey, occ), joined):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
@@ -282,21 +291,6 @@ def test_linearity_exact():
     assert s2.killed_fraction == s1.killed_fraction
 
 
-def test_antithetic_cancellation_exact():
-    cfg = SdeConfig(n=0, start=(0.0, 5.0), seed=4, max_time=2000.0)
-    stats = estimate_T(Seq.delta(0), cfg, 400, antithetic=True)
-    assert stats.mean == 0.0
-    with pytest.raises(ValueError):
-        estimate_T(Seq.delta(0), cfg, 401, antithetic=True)
-    # same mechanism at a nonzero target with data symmetric about it;
-    # mirroring about a nonzero centre does not commute with rounding, so
-    # the cancellation is exact only to machine precision there
-    cfg1 = SdeConfig(n=1, start=(TWO_PI, 5.0), seed=4, max_time=2000.0)
-    sym = Seq.from_dict({0: 1.0, 2: 1.0})
-    stats1 = estimate_T(sym, cfg1, 200, antithetic=True)
-    assert abs(stats1.mean) < 1e-14
-
-
 def test_n0_functional_is_pointwise_zero():
     # for the unit atom at the target site the rotated integrand vanishes
     # identically, so every sample is rounding noise
@@ -312,7 +306,7 @@ def test_single_path_sample():
     assert math.isfinite(comp[0, 0])
     assert absorbed[0]
     assert life[0] > 0
-    assert abs(ex[0] - TWO_PI) < cfg.match_radius
+    assert abs(ex[0] - TWO_PI) < 5.0 * cfg.kill_eps
     assert ey[0] < cfg.kill_eps
 
 
@@ -393,7 +387,7 @@ def test_refinement_probe_heavy():
     """Halving every step-size control moves cell estimates by less than the
     statistical error at 1e5 paths (discretization-bias probe)."""
     cfg = SdeConfig(n=1, start=(TWO_PI, 8.0), seed=2028, kill_eps=4e-3,
-                    dt=4e-6, match_radius=2e-2, max_time=4e4)
+                    dt=4e-6, max_time=4e4)
     grid = OccupationGrid(x_min=math.pi, x_max=3 * math.pi,
                           y_min=1.0, y_max=5.0, nx=4, ny=4)
     base = occupation_check(cfg, grid, 100_000)

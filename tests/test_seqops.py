@@ -347,25 +347,6 @@ def test_halfplane_imports_no_other_dhtlab_module():
     assert _run_fresh(code).split() == ["['dhtlab.halfplane']", "False"]
 
 
-def test_no_module_uses_another_modules_private_names():
-    # no `from dhtlab.x import _name`, and private attributes are reached only
-    # through self or cls (stricter than needed, but simple to check)
-    import ast
-    import pathlib
-    found = []
-    for path in sorted(pathlib.Path(SRC, "dhtlab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dhtlab"):
-                found += [f"{path.name}: import {a.name}" for a in node.names
-                          if a.name.startswith("_")]
-            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                  and not node.attr.startswith("__")
-                  and not (isinstance(node.value, ast.Name)
-                           and node.value.id in ("self", "cls"))):
-                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-    assert found == []
-
-
 def _direct_reference(a, k):
     """The product-per-entry loop: a_j k added for each nonzero a_j in
     ascending j."""
