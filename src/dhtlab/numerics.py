@@ -24,13 +24,16 @@ __all__ = [
     "coth",
     "gk15_panels",
     "gk_eval",
+    "gk_nodes",
+    "gk_sums",
 ]
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule, nodes ascending on
 # [-1, 1].  The rule is open: panel endpoints are never evaluated, so
 # integrable endpoint singularities are safe.  The one copy of the tables in
-# the package; fixed-grid rules elsewhere get them through gk15_panels.
+# the package; fixed-grid rules elsewhere get them through gk15_panels, or
+# through gk_nodes and gk_sums.
 _NODES = np.array([
     -0.991455371120812639206854697526329,
     -0.949107912342758524526189684047851,
@@ -128,18 +131,39 @@ def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
     return np.array([float(f(xi)) for xi in x])
 
 
+def gk_nodes(lo, hi):
+    """Gauss-Kronrod nodes of the panels [lo_i, hi_i] and their half-widths.
+
+    Returns (x, half): row i of x holds the 15 nodes of panel i, ascending.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    return (0.5 * (lo + hi))[:, None] + half[:, None] * _NODES, half
+
+
+def gk_sums(fx, half):
+    """The Gauss-Kronrod pair on node values: (K15, |K15 - G7|) per panel.
+
+    ``fx[..., k]`` is the integrand at node k of a panel of half-width
+    ``half[...]``.  numpy sums a contiguous row in a fixed order and a
+    strided one in another, so the node axis is made contiguous first: the
+    sums then do not depend on the layout of ``fx``.
+    """
+    fx = np.ascontiguousarray(fx)
+    k15 = (fx * _WK15).sum(axis=-1) * half
+    g7 = (fx[..., 1::2] * _WG7).sum(axis=-1) * half
+    return k15, np.abs(k15 - g7)
+
+
 def gk_eval(f, lo: np.ndarray, hi: np.ndarray):
     """Apply the Gauss-Kronrod pair on each panel [lo_i, hi_i]."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    fx = _eval_vectorized(f, x).reshape(len(lo), 15)
+    x, half = gk_nodes(lo, hi)
+    fx = _eval_vectorized(f, x.ravel()).reshape(x.shape)
     if not np.all(np.isfinite(fx)):
-        bad = x.reshape(len(lo), 15)[~np.isfinite(fx)]
+        bad = x[~np.isfinite(fx)]
         raise ValueError(f"integrand returned non-finite value near x={bad[0]!r}")
-    k15 = (fx * _WK15).sum(axis=1) * half
-    g7 = (fx[:, 1::2] * _WG7).sum(axis=1) * half
-    return k15, np.abs(k15 - g7)
+    return gk_sums(fx, half)
 
 
 def gk15_panels(lo, hi):
@@ -150,16 +174,10 @@ def gk15_panels(lo, hi):
     zeros on the others.  Fixed-grid quadratures sum f(x) * wk and compare the
     per-panel sums with those of wg for an error estimate.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    x, half = gk_nodes(lo, hi)
     g7 = np.zeros(15)
     g7[1::2] = _WG7
-    x = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    wk = (half[:, None] * _WK15[None, :]).ravel()
-    wg = (half[:, None] * g7[None, :]).ravel()
-    return x, wk, wg
+    return x.ravel(), (half[:, None] * _WK15).ravel(), (half[:, None] * g7).ravel()
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10, *,

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import dhtlab.hprocess_mc as mc
-from dhtlab.halfplane import h_fields
+from dhtlab.halfplane import green_G, h_fields, poisson_p
 from dhtlab.hprocess_mc import (OccupationGrid, PathStats, SdeConfig,
                                 _simulate, _simulate_chunk, drift_field,
                                 estimate_T, expected_occupation,
                                 occupation_check)
+from dhtlab.numerics import gk_eval
 from dhtlab.seqops import Seq
 
 TWO_PI = 2.0 * math.pi
@@ -38,6 +39,11 @@ def test_config_validation():
     for kwargs in bad:
         with pytest.raises(ValueError):
             SdeConfig(n=0, start=(0.0, 1.0), **kwargs)
+    # 2 pi n must be a lattice point: n = 1.5 would condition towards 3 pi
+    for n in (1.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match="integer"):
+            SdeConfig(n=n, start=(0.0, 1.0))
+    assert SdeConfig(n=np.int64(2), start=(0.0, 1.0)).n == 2
     cfg = SdeConfig(n=2, start=(0.0, 5.0))
     assert cfg.dt <= cfg.kill_eps ** 2 / 4.0
 
@@ -56,6 +62,113 @@ def test_drift_matches_log_gradient():
         ny = (logp(x, y + h) - logp(x, y - h)) / (2 * h)
         assert bx[0] == pytest.approx(nx, abs=1e-5)
         assert by[0] == pytest.approx(ny, abs=1e-5)
+
+
+def test_drift_field_keeps_the_bits_of_its_formula():
+    # the field forms 1/y as reciprocal(y) and 2y as y + y; that must be
+    # -2(x - 2 pi n) / r^2 and 1/y - 2y / r^2 bit for bit, signed zeros,
+    # infinities and NaN included, with or without ``out``
+    rng = np.random.default_rng(4)
+    edge = [0.0, -0.0, TWO_PI, -TWO_PI, 1e-300, -1e300, math.inf, math.nan]
+    x = np.concatenate([rng.uniform(-40.0, 40.0, 2000), np.repeat(edge, len(edge))])
+    y = np.concatenate([np.exp(rng.uniform(-30.0, 8.0, 2000)), np.tile(edge, len(edge))])
+    for n in (0, 1, -3):
+        cfg = SdeConfig(n=n, start=(0.0, 1.0))
+        out = (np.empty_like(x), np.empty_like(x))
+        with np.errstate(all="ignore"):
+            xt = x - TWO_PI * n
+            r2 = xt * xt + y * y
+            want = (-2.0 * xt / r2, 1.0 / y - 2.0 * y / r2)
+            got = drift_field(cfg, x, y)
+            into = drift_field(cfg, x, y, out=out)
+        assert into[0] is out[0] and into[1] is out[1]
+        for g in (got, into):
+            for a, b in zip(g, want):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _full_taming(bx, by, dtk):
+    return dtk / np.maximum(1.0, np.hypot(bx, by) * np.sqrt(dtk) / 2.0)
+
+
+def test_screened_taming_is_the_full_expression_bit_for_bit():
+    rng = np.random.default_rng(6)
+    dtk = np.exp(rng.uniform(math.log(1e-6), math.log(5.0), 4000))
+    # |b|^2 dtk = q spread over both sides of the 3.99 screen and of the
+    # taming threshold 4, densest just below the screen
+    q = np.concatenate([rng.uniform(0.0, 8.0, 1000), 3.99 * (1.0 - EPS * np.arange(1000)),
+                        3.99 * (1.0 + EPS * np.arange(1000)), 4.0 * (1.0 + EPS * np.arange(-500, 500))])
+    angle = rng.uniform(0.0, TWO_PI, q.size)
+    norm = np.sqrt(q / dtk)
+    bx, by = norm * np.cos(angle), norm * np.sin(angle)
+    cases = [(bx[i:i + 1], by[i:i + 1], dtk[i:i + 1]) for i in range(q.size)]
+    cases += [(bx[i:i + 50], by[i:i + 50], dtk[i:i + 50]) for i in range(0, q.size, 50)]
+    # overflowing, huge, tiny, infinite and NaN drifts, alone and in a batch
+    odd = np.array([1e200, -1e155, 1e-300, 0.0, math.inf, -math.inf, math.nan, 1.0])
+    for v in odd:
+        cases.append((np.array([v]), np.array([0.5]), np.array([1e-4])))
+        cases.append((np.array([0.5]), np.array([v]), np.array([2.5])))
+    cases.append((odd, odd[::-1].copy(), np.full(odd.size, 1e-3)))
+    screened = 0
+    for bx, by, dtk in cases:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _full_taming(bx, by, dtk)
+            got = mc._tame(bx, by, dtk, np.sqrt(dtk))
+        screened += got is dtk
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert 1000 < screened < len(cases)
+
+
+@pytest.mark.parametrize("step_scale", [2.5e-3, 0.5, 1.98])
+def test_no_path_above_the_calm_height_is_tamed(step_scale):
+    # the engine skips _tame while every height exceeds _calm_height: there
+    # _tame's screen must pass, and the taming must be dtk bit for bit
+    cfg = SdeConfig(n=1, start=(TWO_PI, 1.0), step_scale=step_scale)
+    y_calm = mc._calm_height(cfg)
+    rng = np.random.default_rng(9)
+    y = y_calm * np.concatenate([1.0 + EPS * np.arange(1, 300),
+                                 np.exp(rng.uniform(0.0, 12.0, 3000))])
+    # |bx| peaks at x - 2 pi n = +-y and |by| at x = 2 pi n
+    xt = y * np.concatenate([rng.choice([-1.0, 0.0, 1.0], 1650), rng.uniform(-30.0, 30.0, 1649)])
+    dtk = np.minimum(np.maximum(cfg.step_scale * y * y, cfg.dt), cfg.dt_cap)
+    bx, by = drift_field(cfg, TWO_PI + xt, y)
+    assert mc._tame(bx, by, dtk, np.sqrt(dtk)) is dtk
+    assert np.array_equal(_full_taming(bx, by, dtk), dtk)
+    assert mc._calm_height(replace(cfg, step_scale=1.99)) == math.inf
+
+
+# A start just above the boundary, beside the target: near the pole the
+# drift is strong enough to be tamed, which no other golden run does (the
+# multichunk run tames 0 steps).  Pinned before the screen was added.
+TAMING_GOLDEN = (
+    "13a66c17a87ded141176646dfafda664a9d6580753685f1e7bdd046729816dfa",  # paths
+    "a0ddb05aca9893c8ef3749d359c9fdb3cfd416196b37c621face9fe0eaa816cb",  # functional
+    ("0x1.099808d2aa20ap-2", "0x1.6c959d1d1fc78p+0"),  # per-site functional sums
+)
+
+
+def test_golden_taming_bits(monkeypatch):
+    hypot_calls, tamed_steps = [], []
+    real_hypot, real_tame = np.hypot, mc._tame
+
+    def counting_hypot(*args, **kwargs):
+        hypot_calls.append(len(args[0]))
+        return real_hypot(*args, **kwargs)
+
+    def counting_tame(bx, by, dtk, root):
+        tame = real_tame(bx, by, dtk, root)
+        tamed_steps.append(bool(np.count_nonzero(tame != dtk)))
+        return tame
+
+    monkeypatch.setattr(np, "hypot", counting_hypot)
+    monkeypatch.setattr(mc, "_tame", counting_tame)
+    cfg = SdeConfig(n=1, start=(TWO_PI + 2.0, 0.02), seed=5, max_time=50.0)
+    grid = OccupationGrid(TWO_PI - 3.0, TWO_PI + 3.0, 0.01, 3.0, 4, 4)
+    comp, ms, absorbed, life, (ex, ey), occ = _simulate(
+        Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 64, grid=grid, chunk_size=40)
+    assert (_sha256(ms, absorbed, life, ex, ey, occ), _sha256(comp),
+            tuple(v.hex() for v in comp.sum(axis=1))) == TAMING_GOLDEN
+    assert len(hypot_calls) >= 1 and sum(tamed_steps) >= 1
 
 
 def test_reproducibility_bitwise():
@@ -187,9 +300,9 @@ def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
     widths = []
     real = mc.drift_field
 
-    def counting(cfg, x, y):
+    def counting(cfg, x, y, **kwargs):
         widths.append(len(x))
-        return real(cfg, x, y)
+        return real(cfg, x, y, **kwargs)
 
     monkeypatch.setattr(mc, "drift_field", counting)
     assert _multichunk_digests() == GOLDEN_MULTICHUNK
@@ -337,6 +450,52 @@ def test_estimate_matches_finite_start_quadrature():
     assert abs(z) <= 3.0
 
 
+def _expected_occupation_by_cells(cfg, grid):
+    """The cell-by-cell quadrature that expected_occupation vectorizes: a
+    gk_eval over y per cell, whose integrand is a gk_eval over x per y node."""
+    x0, y0 = cfg.start
+    pn0 = poisson_p(cfg.n, x0, y0)
+    out = np.empty((grid.ny, grid.nx))
+    xs = np.linspace(grid.x_min, grid.x_max, grid.nx + 1)
+    ys = np.linspace(grid.y_min, grid.y_max, grid.ny + 1)
+
+    def halves(edges, i):
+        mid = 0.5 * (edges[i] + edges[i + 1])
+        return np.array([edges[i], mid]), np.array([mid, edges[i + 1]])
+
+    for j in range(grid.ny):
+        for i in range(grid.nx):
+            def inner(yv):
+                return np.array([gk_eval(lambda xv: poisson_p(cfg.n, xv, yy)
+                                         * green_G(xv, yy, x0, y0) / pn0,
+                                         *halves(xs, i))[0].sum() for yy in yv])
+            out[j, i] = gk_eval(inner, *halves(ys, j))[0].sum()
+    return out
+
+
+@pytest.mark.parametrize("n, start, box", [
+    (1, (TWO_PI, 6.0), (math.pi, 3 * math.pi, 0.5, 4.5, 4, 4)),
+    (2, (2 * TWO_PI + 0.7, 3.0), (2 * TWO_PI - 2.0, 2 * TWO_PI + 3.0, 0.25, 2.25, 5, 3)),
+    (0, (0.0, 8.0), (-math.pi, math.pi, 0.5, 4.5, 10, 10)),
+    (-1, (-TWO_PI + 0.3, 1.5), (-9.0, -4.0, 0.05, 0.55, 1, 7)),
+])
+def test_expected_occupation_matches_the_cell_by_cell_quadrature(n, start, box):
+    # every bit: the grid-wide rule must sum each panel's 15 nodes, and
+    # each cell's two panels, exactly as the cell-by-cell rule did
+    cfg, grid = SdeConfig(n=n, start=start), OccupationGrid(*box)
+    exp = expected_occupation(cfg, grid)
+    assert exp.shape == (grid.ny, grid.nx) and exp.flags.c_contiguous
+    assert np.array_equal(exp, _expected_occupation_by_cells(cfg, grid))
+
+
+def test_expected_occupation_rejects_a_pole_on_a_node():
+    # the centre node of the first panel on each axis is (0.5, 0.75) exactly,
+    # so a start there puts the Green function's pole on a node
+    grid = OccupationGrid(0.0, 2.0, 0.5, 1.5, 1, 1)
+    with pytest.raises(ValueError, match="pole"):
+        expected_occupation(SdeConfig(n=0, start=(0.5, 0.75)), grid)
+
+
 def test_expected_occupation_symmetry():
     cfg = SdeConfig(n=1, start=(TWO_PI, 6.0))
     grid = OccupationGrid(x_min=TWO_PI - 2.0, x_max=TWO_PI + 2.0,
@@ -367,6 +526,10 @@ def test_occupation_grid_validation():
         OccupationGrid(x_min=0, x_max=1, y_min=-1, y_max=2, nx=2, ny=2)
     with pytest.raises(ValueError):
         OccupationGrid(x_min=1, x_max=0, y_min=0.5, y_max=2, nx=2, ny=2)
+    # a fractional cell count used to pass here and fail inside the run
+    for counts in (dict(nx=2.5, ny=2), dict(nx=2, ny=2.0), dict(nx="2", ny=2)):
+        with pytest.raises(ValueError, match="integer"):
+            OccupationGrid(x_min=0, x_max=1, y_min=0.5, y_max=2, **counts)
 
 
 def _refine_dt(cfg):

@@ -153,3 +153,30 @@ def test_gk15_panels_integrate_polynomials_exactly():
         assert float(np.sum(w * x ** deg)) == pytest.approx(2.0 ** (deg + 1) / (deg + 1),
                                                              rel=1e-14)
     assert np.all(wg.reshape(2, 15)[:, 0::2] == 0.0)
+
+
+def test_gk_eval_is_gk_nodes_then_gk_sums():
+    from dhtlab.numerics import gk_eval, gk_nodes, gk_sums
+    lo, hi = np.array([0.0, 0.3, -2.0]), np.array([0.3, 1.7, 5.0])
+    x, half = gk_nodes(lo, hi)
+    assert x.shape == (3, 15) and np.all(np.diff(x, axis=1) > 0)
+    assert np.all((x > lo[:, None]) & (x < hi[:, None]))       # an open rule
+    k15, err = gk_eval(np.cos, lo, hi)
+    k15_sums, err_sums = gk_sums(np.cos(x), half)
+    assert np.array_equal(k15, k15_sums) and np.array_equal(err, err_sums)
+    assert np.allclose(k15, np.sin(hi) - np.sin(lo), rtol=1e-14, atol=0.0)
+
+
+def test_gk_sums_do_not_depend_on_layout():
+    # numpy sums a strided row in another order than a contiguous one, so
+    # a transposed or Fortran-ordered input must give the same bits
+    from dhtlab.numerics import gk_sums
+    rng = np.random.default_rng(2)
+    fx = rng.standard_normal((6, 4, 15)) * np.exp(rng.uniform(-20.0, 20.0, (6, 4, 15)))
+    half = rng.uniform(0.1, 2.0, (6, 4))
+    want = gk_sums(fx, half)
+    strided = np.ascontiguousarray(fx.transpose(2, 0, 1)).transpose(1, 2, 0)
+    for layout in (strided, np.asfortranarray(fx)):
+        assert not layout.flags.c_contiguous
+        for a, b in zip(gk_sums(layout, half), want):
+            assert np.array_equal(a, b)
