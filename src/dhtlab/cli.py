@@ -17,10 +17,6 @@ import sys
 _SCHEMA = "dhtlab/1"
 
 
-def _fail_usage(parser: argparse.ArgumentParser, msg: str):
-    parser.error(msg)  # argparse exits with status 2
-
-
 @contextlib.contextmanager
 def _usage_errors(parser: argparse.ArgumentParser):
     """Report the library's ValueError for a bad flag value as a usage error
@@ -28,7 +24,7 @@ def _usage_errors(parser: argparse.ArgumentParser):
     try:
         yield
     except ValueError as ex:
-        _fail_usage(parser, str(ex))
+        parser.error(str(ex))  # argparse exits with status 2
 
 
 def _emit(text: str, path: str | None):
@@ -55,8 +51,8 @@ def _cmd_kernels(args, parser) -> int:
     # numpy-free: a dump reads the scalar formulas, not dhtlab.kernels
     from dhtlab.kernel_entries import PARITY, window_values
     if args.kernel not in PARITY:
-        _fail_usage(parser, f"unknown kernel {args.kernel!r} "
-                            f"(choose from {sorted(PARITY)})")
+        parser.error(f"unknown kernel {args.kernel!r} "
+                     f"(choose from {sorted(PARITY)})")
     with _usage_errors(parser):
         vals = window_values(args.kernel, args.radius)
     ns = range(-args.radius, args.radius + 1)
@@ -91,11 +87,11 @@ def _cmd_norms(args, parser) -> int:
     from dhtlab.norms import norm_sweep
     from dhtlab.numerics import Exponent
     if args.kernel not in KERNELS:
-        _fail_usage(parser, f"unknown kernel {args.kernel!r}")
+        parser.error(f"unknown kernel {args.kernel!r}")
     try:
         radii = [int(r) for r in args.radii.split(",") if r]
     except ValueError:
-        _fail_usage(parser, f"bad radii list {args.radii!r}")
+        parser.error(f"bad radii list {args.radii!r}")
     with _usage_errors(parser):
         ests = norm_sweep(KERNELS[args.kernel], Exponent(args.p), radii,
                           seed=args.seed, max_iter=args.max_iter, tol=args.tol)
@@ -119,9 +115,9 @@ def _cmd_norms(args, parser) -> int:
 
 def _cmd_verify(args, parser) -> int:
     from dhtlab.identities import run_section3_suite
-    with _usage_errors(parser):
-        reports = run_section3_suite(args.tol_profile)
-    config = {"suite": args.suite, "tol_profile": args.tol_profile}
+    reports = run_section3_suite()
+    # the suite has one tolerance profile; the echo keeps its name
+    config = {"suite": args.suite, "tol_profile": "default"}
     doc = _json_doc("verify", config, [r.as_dict() for r in reports])
     _emit(doc, args.output)
     return 0 if all(r.passed for r in reports) else 1
@@ -131,7 +127,7 @@ def _cmd_weaktype(args, parser) -> int:
     from dhtlab.kernels import KERNELS
     from dhtlab.weaktype import davis_constant, search_weak_constant
     if args.kernel not in KERNELS:
-        _fail_usage(parser, f"unknown kernel {args.kernel!r}")
+        parser.error(f"unknown kernel {args.kernel!r}")
     with _usage_errors(parser):
         best = search_weak_constant(KERNELS[args.kernel], args.family,
                                     args.budget, seed=args.seed,
@@ -152,8 +148,8 @@ def _cmd_mc(args, parser) -> int:
     from dhtlab.seqops import Seq
     heavy_needed = args.paths > 20_000 or args.y0 > 20.0
     if heavy_needed and not args.heavy:
-        _fail_usage(parser, "requested run exceeds the light budget "
-                            "(paths > 20000 or y0 > 20); pass --heavy")
+        parser.error("requested run exceeds the light budget "
+                     "(paths > 20000 or y0 > 20); pass --heavy")
     x0 = 2.0 * math.pi * args.n if args.x0 is None else args.x0
     config = {"mode": args.mode, "n": args.n, "x0": x0, "y0": args.y0,
               "dt": args.dt, "kill_eps": args.kill_eps,
@@ -226,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the deterministic identity suite")
     p.add_argument("--suite", default="section3", choices=("section3",))
-    p.add_argument("--tol-profile", default="default")
     p.add_argument("--output", default=None)
 
     p = sub.add_parser("weaktype", help="weak-type lower-bound search")

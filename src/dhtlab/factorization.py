@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dhtlab.kernels import E, HILBERT, J, e_tail_constant, j_kernel
+from dhtlab.kernels import E, HILBERT, J, e_tail_constant
 from dhtlab.seqops import Seq, convolve, fft_convolve
 
 __all__ = [
@@ -142,7 +142,7 @@ def verify_factorization(a: Seq, window: int, mass_tol: float = 1e-8,
     a_l1 = float(np.sum(np.abs(at.values)))
     ja_sup = float(np.max(np.abs(ja.values)))
     j_err = float(np.max(J.error_window(1))) * len(at.values)
-    budget = float(kit.mass_defect * max(ja_sup, j_kernel(1) * a_l1)
+    budget = float(kit.mass_defect * max(ja_sup, J.value(1) * a_l1)
                    + a_l1 * (j_err + 1e-12))
     return FactorizationReport(residual, budget, bool(residual <= budget),
                                window, float(kit.mass_defect))
@@ -162,7 +162,7 @@ def j_decomposition_residual(n_max: int, window: int):
         nz = ms != n
         h_at[nz] = 1.0 / (math.pi * (n - ms[nz]))
         he = float(np.dot(h_at, e.values))
-        resid = max(resid, abs(j_kernel(n) - HILBERT.value(n) - he))
+        resid = max(resid, abs(J.value(n) - HILBERT.value(n) - he))
     tail = 2.0 * e_tail_constant() / (math.pi * window * max(window - n_max - 1, 1))
     budget = tail + float(np.sum(e.bars)) / math.pi \
         + float(np.max(J.error_window(n_max))) + 1e-13

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dhtlab.halfplane import grad_poisson, green_G, h_fields, poisson_p
-from dhtlab.kernels import E, F, e_tail_constant, f_kernel, j_kernel
+from dhtlab.kernels import E, F, J, e_tail_constant
 from dhtlab.numerics import QuadResult, coth, csch_sq, gk15_panels, integrate
 
 __all__ = [
@@ -341,7 +341,7 @@ def verify_jn_double_integral(n: int, tol: float = 1e-6, *,
             return 2.0 * y * int6_closed(n, y)
         q = integrate(outer, 0.0, math.inf, 1e-10)
 
-    rhs = j_kernel(n)
+    rhs = J.value(n)
     tolerance = max(tol * abs(rhs), 10.0 * q.abs_error_estimate)
     tag = "naive" if naive_inner else "closed-inner"
     return IdentityReport.make(f"j_double_integral(n={n},{tag})", q.value, rhs,
@@ -428,7 +428,7 @@ def verify_ihj(n: int, M: int) -> IdentityReport:
         return w[idx - (n - M)]
 
     lhs = _dht_truncated(values_at, n, M)
-    rhs = f_kernel(n)
+    rhs = F.value(n)
     c_tail = e_tail_constant()
     tail = 2.0 * c_tail / (_PI * M * max(M - abs(n) - 1, 1))
     quad_budget = 2.0 * float(np.sum(window.bars)) / _PI + float(F.read(n, n).bars[0])
@@ -444,7 +444,7 @@ def conditional_kernel_quad(n: int, x0: float, y0: float,
     operator for a path started at (x0, y0), by iterated quadrature.
 
     Weight G(x, y)/p_n(x0, y0) replaces its large-y0 limit 2y; as y0 grows
-    this converges to j_kernel(n).
+    this converges to J_n.
     """
     if not y0 > 0:
         raise ValueError("y0 > 0 required")
@@ -475,10 +475,8 @@ def conditional_kernel_quad(n: int, x0: float, y0: float,
 
 # -- suite runner ----------------------------------------------------------------
 
-def run_section3_suite(profile: str = "default") -> list[IdentityReport]:
+def run_section3_suite() -> list[IdentityReport]:
     """Run the full deterministic identity suite and return all reports."""
-    if profile != "default":
-        raise ValueError(f"unknown tolerance profile {profile!r}")
     reports: list[IdentityReport] = []
 
     for (x, y) in [(0.0, 1.0), (1.7, 0.4), (-2.0, 3.0)]:

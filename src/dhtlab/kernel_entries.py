@@ -7,7 +7,20 @@ drivers and this module's scalar driver ``window_values`` the same bits.
 This module imports no numpy: ``dhtlab kernels`` dumps load nothing else.
 
 The four closed forms are rational in n.  J, F and E are integrals, each
-evaluated at m = |n| and mirrored by parity.  Two sources share the work:
+evaluated at m = |n| and mirrored by parity:
+
+* J_n = (1/(pi n)) (1 + integral_0^inf 2 y^3 / ((y^2 + pi^2 n^2) sinh^2 y) dy),
+  and F_n is the same without the 1; both are zero at n = 0.
+* E_0 integrates 2y/sinh^3(y) (sinh y - int_0^y sinh(t)/t dt); E_n for
+  n != 0 integrates -2y/sinh^3(y) int_0^y t sinh t/(t^2 + pi^2 n^2) dt.
+  E is even and sums to zero, and the discrete Hilbert transform maps it
+  to F.
+
+J = H + F holds within the three entries' bars.  Below |n| = N0, J_n and
+F_n are separate correctly rounded literals, so there it does not hold by
+construction; from N0 on both come from one series value.
+
+Two sources share the work:
 
 * m < N0: literals, each the double nearest the integral (printed by
   ``scripts/make_kernel_literals.py`` from mpmath at 30 and 40 digits).

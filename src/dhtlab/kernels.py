@@ -36,8 +36,6 @@ __all__ = [
     "KernelWindow",
     "HILBERT", "RT", "KAK", "ADP", "J", "F", "E",
     "KERNELS",
-    "hilbert_kernel", "rt_kernel", "kak_kernel", "adp_kernel",
-    "j_kernel", "f_kernel", "e_kernel",
     "e_tail_constant",
 ]
 
@@ -202,58 +200,6 @@ F = Kernel("F", _series_batch("F"), PARITY["F"])
 E = Kernel("E", _series_batch("E"), PARITY["E"])
 
 KERNELS = {k.name: k for k in (HILBERT, RT, KAK, ADP, J, F, E)}
-
-
-def hilbert_kernel(n: int) -> float:
-    """1/(pi n) for n != 0, zero at n = 0."""
-    return HILBERT.value(n)
-
-
-def rt_kernel(n: int) -> float:
-    """1/(pi (n + 1/2)); antisymmetric about -1/2 rather than 0."""
-    return RT.value(n)
-
-
-def kak_kernel(n: int) -> float:
-    """2/(pi n) on odd n, zero on even n."""
-    return KAK.value(n)
-
-
-def adp_kernel(n: int) -> float:
-    """n / (pi (n^2 - 1/4)), the average of the two half-shifted kernels."""
-    return ADP.value(n)
-
-
-def j_kernel(n: int) -> float:
-    """(1/(pi n)) (1 + integral_0^inf 2 y^3 / ((y^2 + pi^2 n^2) sinh^2 y) dy).
-
-    Zero at n = 0; strictly dominates 1/(pi n) for n > 0.
-    """
-    return J.value(n)
-
-
-def f_kernel(n: int) -> float:
-    """(1/(pi n)) integral_0^inf 2 y^3 / ((y^2 + pi^2 n^2) sinh^2 y) dy; zero at 0.
-
-    Satisfies j_kernel(n) = hilbert_kernel(n) + f_kernel(n) within the three
-    entries' bars.  Below |n| = 32 J_n and F_n are separate correctly rounded
-    literals, not one quadrature, so the identity does not hold there by
-    construction; from there on both come from one series value.
-    """
-    return F.value(n)
-
-
-def e_kernel(n: int) -> float:
-    """Even absolutely-summable kernel with positive mass at 0 and negative
-    mass elsewhere, summing to zero; the discrete Hilbert transform maps it
-    to the F kernel.
-
-    E_0 integrates 2y/sinh^3(y) (sinh y - int_0^y sinh(t)/t dt); E_n for
-    n != 0 integrates -2y/sinh^3(y) int_0^y t sinh t/(t^2 + pi^2 n^2) dt.
-    Below |n| = 32 the value is a correctly rounded literal; from there on
-    it comes from the moment series.
-    """
-    return E.value(n)
 
 
 def e_tail_constant() -> float:

@@ -120,17 +120,6 @@ class Exponent:
         return max(self.p, self.q)
 
 
-def _eval_vectorized(f, x: np.ndarray) -> np.ndarray:
-    """Call f on an array of abscissae, falling back to a scalar loop."""
-    try:
-        fx = np.asarray(f(x), dtype=float)
-        if fx.shape == x.shape:
-            return fx
-    except (TypeError, ValueError):
-        pass
-    return np.array([float(f(xi)) for xi in x])
-
-
 def gk_nodes(lo, hi):
     """Gauss-Kronrod nodes of the panels [lo_i, hi_i] and their half-widths.
 
@@ -157,9 +146,14 @@ def gk_sums(fx, half):
 
 
 def gk_eval(f, lo: np.ndarray, hi: np.ndarray):
-    """Apply the Gauss-Kronrod pair on each panel [lo_i, hi_i]."""
+    """Apply the Gauss-Kronrod pair on each panel [lo_i, hi_i], calling f
+    once on all the nodes; ValueError unless it returns one value each."""
     x, half = gk_nodes(lo, hi)
-    fx = _eval_vectorized(f, x.ravel()).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    if fx.shape != (x.size,):
+        raise ValueError(f"integrand returned shape {fx.shape} for "
+                         f"abscissae of shape {(x.size,)}")
+    fx = fx.reshape(x.shape)
     if not np.all(np.isfinite(fx)):
         bad = x[~np.isfinite(fx)]
         raise ValueError(f"integrand returned non-finite value near x={bad[0]!r}")
@@ -190,7 +184,8 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10, *,
     exp(-2y) * poly or y**-2, both of which this map keeps tame.  ``points``
     lists interior abscissae (pole lines, kinks) that become initial panel
     boundaries.  The refinement schedule is deterministic, so identical inputs
-    give bit-identical results.
+    give bit-identical results.  f is called on arrays of abscissae and must
+    return an array of the same shape.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise ValueError(f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol}")

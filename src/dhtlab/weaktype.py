@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,16 +52,7 @@ class WeakTypeReport:
     window_limited: bool
 
     def as_dict(self) -> dict:
-        return {
-            "sequence_id": self.sequence_id,
-            "l1_norm": self.l1_norm,
-            "best_lambda": self.best_lambda,
-            "count_at_lambda": self.count_at_lambda,
-            "ratio": self.ratio,
-            "window_radius": self.window_radius,
-            "tail_note": self.tail_note,
-            "window_limited": self.window_limited,
-        }
+        return asdict(self)
 
 
 def weak_ratio(k: Kernel, a: Seq, window: int,

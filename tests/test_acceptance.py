@@ -96,13 +96,13 @@ def test_criterion_05_convolution_identities():
 
 
 def test_criterion_06_e_kernel_properties():
-    ok = K.e_kernel(0) > 0
-    ok &= all(K.e_kernel(n) < 0 for n in range(1, 51))
+    ok = K.E.value(0) > 0
+    ok &= all(K.E.value(n) < 0 for n in range(1, 51))
     N = 200
     w = K.E.window(N)
     tail = 2.0 * K.e_tail_constant() / N
     ok &= abs(float(w.sum())) <= tail + float(np.sum(K.E.error_window(N)))
-    ok &= all(abs(K.j_kernel(n) - K.hilbert_kernel(n) - K.f_kernel(n)) <= 1e-10
+    ok &= all(abs(K.J.value(n) - K.HILBERT.value(n) - K.F.value(n)) <= 1e-10
               for n in range(1, 21))
     _report(6, "E kernel signs, zero sum with computed tail, J = H + F",
             bool(ok))
@@ -148,16 +148,16 @@ def test_criterion_08_norm_bounds():
 
 
 def test_criterion_09_kernel_domination_and_variants():
-    ok = all(K.j_kernel(n) > 1.0 / (math.pi * n) > 0 for n in range(1, 51))
-    ok &= all(K.j_kernel(-n) == -K.j_kernel(n) for n in range(1, 51))
-    ok &= K.rt_kernel(0) == pytest.approx(2.0 / math.pi, abs=1e-15)
-    ok &= all(K.rt_kernel(n) == pytest.approx(1.0 / (math.pi * (n + 0.5)),
+    ok = all(K.J.value(n) > 1.0 / (math.pi * n) > 0 for n in range(1, 51))
+    ok &= all(K.J.value(-n) == -K.J.value(n) for n in range(1, 51))
+    ok &= K.RT.value(0) == pytest.approx(2.0 / math.pi, abs=1e-15)
+    ok &= all(K.RT.value(n) == pytest.approx(1.0 / (math.pi * (n + 0.5)),
                                               rel=1e-14)
               for n in (-3, -1, 1, 4))
-    ok &= all(K.kak_kernel(n) == 0.0 for n in (-4, -2, 2, 6))
-    ok &= all(K.kak_kernel(n) == pytest.approx(2.0 / (math.pi * n), rel=1e-14)
+    ok &= all(K.KAK.value(n) == 0.0 for n in (-4, -2, 2, 6))
+    ok &= all(K.KAK.value(n) == pytest.approx(2.0 / (math.pi * n), rel=1e-14)
               for n in (-3, 1, 5))
-    ok &= all(K.adp_kernel(n) == pytest.approx(
+    ok &= all(K.ADP.value(n) == pytest.approx(
         n / (math.pi * (n * n - 0.25)), rel=1e-14) for n in (-2, 1, 3))
     _report(9, "kernel domination and variant spot values", bool(ok))
 
@@ -196,7 +196,7 @@ def test_criterion_11_monte_carlo():
     cfg_fun = SdeConfig(n=1, start=(0.0, 50.0), seed=SEED_FUNCTIONAL,
                         max_time=2e5)
     stats = estimate_T(Seq.delta(0), cfg_fun, 100_000)
-    z1 = (stats.mean - K.j_kernel(1)) / stats.std_error
+    z1 = (stats.mean - K.J.value(1)) / stats.std_error
     ok_fun = abs(z1) <= 3.0
 
     # the target-site estimate is compatible with zero

@@ -101,12 +101,12 @@ def test_verify_exit_codes(capsys, monkeypatch):
     bad = IdentityReport("broken", 1.0, 2.0, 1.0, 1e-9, False)
 
     import dhtlab.identities as ident
-    monkeypatch.setattr(ident, "run_section3_suite", lambda prof: [good])
+    monkeypatch.setattr(ident, "run_section3_suite", lambda: [good])
     rc, out = run_cli(capsys, "verify")
     assert rc == 0
     assert json.loads(out)["results"][0]["pass"] is True
 
-    monkeypatch.setattr(ident, "run_section3_suite", lambda prof: [good, bad])
+    monkeypatch.setattr(ident, "run_section3_suite", lambda: [good, bad])
     rc, out = run_cli(capsys, "verify")
     assert rc == 1
 

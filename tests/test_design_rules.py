@@ -4,9 +4,13 @@ No dhtlab module imports another's private names, and private attributes
 are reached only through self or cls (stricter than needed, but simple to
 check).  ``hprocess_mc`` imports neither ``identities`` nor ``kernels``: the
 Monte Carlo engine reads the half-plane fields from ``halfplane`` alone.
+Every name in a module's ``__all__`` exists (checked on the imported module,
+so the names ``dhtlab`` resolves on first use count).
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,23 @@ def test_no_module_uses_another_modules_private_names():
 def test_checker_sees_each_breach(module, source):
     assert len(_violations(module, source)) == 1
 
+
+def _stale_exports(module) -> list[str]:
+    """The names in ``module.__all__`` that the module does not have."""
+    return [name for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)]
+
+
+def test_every_exported_name_exists():
+    names = ["dhtlab"] + [f"dhtlab.{p.stem}" for p in sorted(SRC.glob("*.py"))
+                          if p.stem != "__init__"]
+    found = {name: stale for name in names
+             if (stale := _stale_exports(importlib.import_module(name)))}
+    assert found == {}
+
+
+def test_stale_export_check_sees_a_deleted_name():
+    module = types.ModuleType("m")
+    module.__all__ = ["kept", "deleted"]
+    module.kept = None
+    assert _stale_exports(module) == ["deleted"]

@@ -21,29 +21,29 @@ E1 = -0.08531230446170698
 
 
 def test_hilbert_values():
-    assert K.hilbert_kernel(0) == 0.0
-    assert K.hilbert_kernel(1) == pytest.approx(1.0 / math.pi, abs=1e-15)
-    assert K.hilbert_kernel(-3) == pytest.approx(-1.0 / (3.0 * math.pi), abs=1e-15)
+    assert K.HILBERT.value(0) == 0.0
+    assert K.HILBERT.value(1) == pytest.approx(1.0 / math.pi, abs=1e-15)
+    assert K.HILBERT.value(-3) == pytest.approx(-1.0 / (3.0 * math.pi), abs=1e-15)
 
 
 def test_variant_kernel_values():
-    assert K.rt_kernel(0) == pytest.approx(2.0 / math.pi, abs=1e-15)
-    assert K.kak_kernel(2) == 0.0
-    assert K.kak_kernel(1) == pytest.approx(2.0 / math.pi, abs=1e-15)
-    assert K.adp_kernel(1) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-15)
+    assert K.RT.value(0) == pytest.approx(2.0 / math.pi, abs=1e-15)
+    assert K.KAK.value(2) == 0.0
+    assert K.KAK.value(1) == pytest.approx(2.0 / math.pi, abs=1e-15)
+    assert K.ADP.value(1) == pytest.approx(4.0 / (3.0 * math.pi), abs=1e-15)
 
 
 def test_rt_reflection_antisymmetry():
     for n in range(-6, 6):
-        assert K.rt_kernel(-1 - n) == pytest.approx(-K.rt_kernel(n), rel=1e-15)
+        assert K.RT.value(-1 - n) == pytest.approx(-K.RT.value(n), rel=1e-15)
 
 
 def test_j_kernel_values():
-    assert K.j_kernel(0) == 0.0
-    assert K.j_kernel(1) == pytest.approx(J1, abs=1e-10)
-    assert K.j_kernel(1) > 1.0 / math.pi
+    assert K.J.value(0) == 0.0
+    assert K.J.value(1) == pytest.approx(J1, abs=1e-10)
+    assert K.J.value(1) > 1.0 / math.pi
     for n in range(1, 6):
-        assert K.j_kernel(-n) == -K.j_kernel(n)
+        assert K.J.value(-n) == -K.J.value(n)
 
 
 def test_j_kernel_against_adaptive_quadrature():
@@ -52,33 +52,33 @@ def test_j_kernel_against_adaptive_quadrature():
         from dhtlab.numerics import csch_sq
         r = integrate(lambda y: 2 * y ** 3 / (y * y + pn2) * csch_sq(y),
                       0.0, math.inf, 1e-12)
-        assert K.j_kernel(n) == pytest.approx((1.0 + r.value) / (math.pi * n),
+        assert K.J.value(n) == pytest.approx((1.0 + r.value) / (math.pi * n),
                                               abs=1e-11)
 
 
 def test_f_kernel_identity_and_decay():
-    assert K.f_kernel(0) == 0.0
-    assert K.f_kernel(1) == pytest.approx(K.j_kernel(1) - 1.0 / math.pi, abs=1e-13)
+    assert K.F.value(0) == 0.0
+    assert K.F.value(1) == pytest.approx(K.J.value(1) - 1.0 / math.pi, abs=1e-13)
     for n in range(1, 21):
-        assert abs(K.j_kernel(n) - K.hilbert_kernel(n) - K.f_kernel(n)) < 1e-12
-    assert 0 < K.f_kernel(2) < K.f_kernel(1)
-    scaled = [math.pi * n * K.f_kernel(n) for n in range(1, 51)]
+        assert abs(K.J.value(n) - K.HILBERT.value(n) - K.F.value(n)) < 1e-12
+    assert 0 < K.F.value(2) < K.F.value(1)
+    scaled = [math.pi * n * K.F.value(n) for n in range(1, 51)]
     assert all(b < a for a, b in zip(scaled, scaled[1:]))
     assert scaled[-1] < 2e-4  # tends to zero
 
 
 def test_domination():
     for n in range(1, 51):
-        assert K.j_kernel(n) > K.hilbert_kernel(n) > 0.0
+        assert K.J.value(n) > K.HILBERT.value(n) > 0.0
 
 
 def test_e_kernel_signs_symmetry():
-    assert K.e_kernel(0) == pytest.approx(E0, abs=1e-10)
-    assert K.e_kernel(0) > 0
-    assert K.e_kernel(1) == pytest.approx(E1, abs=1e-12)
+    assert K.E.value(0) == pytest.approx(E0, abs=1e-10)
+    assert K.E.value(0) > 0
+    assert K.E.value(1) == pytest.approx(E1, abs=1e-12)
     for n in range(1, 51):
-        assert K.e_kernel(n) < 0
-    assert K.e_kernel(-4) == K.e_kernel(4)
+        assert K.E.value(n) < 0
+    assert K.E.value(-4) == K.E.value(4)
 
 
 def test_e_kernel_nested_quadrature_oracle():
@@ -94,7 +94,7 @@ def test_e_kernel_nested_quadrature_oracle():
         return np.array([2 * y * float(np.sinh(y) ** -3) * inner(y) for y in ys])
 
     r = integrate(outer, 0.0, 40.0, 1e-9)
-    assert K.e_kernel(n) == pytest.approx(-r.value, abs=1e-9)
+    assert K.E.value(n) == pytest.approx(-r.value, abs=1e-9)
 
 
 def test_e_zero_sum_with_tail_bound():
@@ -108,16 +108,16 @@ def test_e_zero_sum_with_tail_bound():
 def test_e_tail_bound_entrywise():
     c = K.e_tail_constant()
     for n in (1, 2, 5, 20, 100):
-        assert abs(K.e_kernel(n)) <= c / n ** 2
+        assert abs(K.E.value(n)) <= c / n ** 2
 
 
 def test_window_matches_pointwise_bitwise():
     w = K.J.window(8)
     for n in range(-8, 9):
-        assert w[n + 8] == K.j_kernel(n)
+        assert w[n + 8] == K.J.value(n)
     we = K.E.window(6)
     for n in range(-6, 7):
-        assert we[n + 6] == K.e_kernel(n)
+        assert we[n + 6] == K.E.value(n)
 
 
 def test_window_beyond_cache_consistent():
@@ -362,7 +362,7 @@ def test_whole_f_table_within_bar_of_mpmath_oracle():
     with mp.workdps(30):
         for n in range(1, KE.N0):
             true = _mp_f_integral(mp, n) / (mp.pi * n)
-            assert abs(mp.mpf(K.f_kernel(n)) - true) <= _bar(K.F, n), n
+            assert abs(mp.mpf(K.F.value(n)) - true) <= _bar(K.F, n), n
 
 
 @pytest.mark.parametrize("n", [1, 50, 300])
@@ -370,7 +370,7 @@ def test_e_within_bar_of_mpmath_oracle(n):
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         true = _mp_e(mp, n)
-        assert abs(mp.mpf(K.e_kernel(n)) - true) <= _bar(K.E, n)
+        assert abs(mp.mpf(K.E.value(n)) - true) <= _bar(K.E, n)
 
 
 def test_literals_and_series_agree_at_the_seam():
@@ -403,8 +403,8 @@ def test_series_moments():
             assert abs(mp.mpf(m[k]) - true) <= m_err[k]
     # at n0 the series remainder is below one rounding of the entry
     a2 = (math.pi * KE.N0) ** 2
-    assert m[KE._K] / a2 ** (KE._K + 1) <= EPS * abs(K.f_kernel(KE.N0)) * math.pi * KE.N0
-    assert big_m[KE._K] / a2 ** (KE._K + 1) <= EPS * abs(K.e_kernel(KE.N0))
+    assert m[KE._K] / a2 ** (KE._K + 1) <= EPS * abs(K.F.value(KE.N0)) * math.pi * KE.N0
+    assert big_m[KE._K] / a2 ** (KE._K + 1) <= EPS * abs(K.E.value(KE.N0))
 
 
 @pytest.mark.parametrize("kernel,radius", [(K.F, 31), (K.E, 881), (K.F, 5873)])

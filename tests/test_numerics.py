@@ -88,6 +88,16 @@ def test_integrate_rejects_bad_tolerance():
         integrate(lambda y: y, 0.0, 1.0, 1e-15)
 
 
+@pytest.mark.parametrize("f, error", [
+    (lambda y: 1.0, ValueError),      # a scalar, not one value per abscissa
+    (math.exp, TypeError),            # fails on an array
+])
+def test_integrate_calls_the_integrand_on_arrays_only(f, error):
+    # no point-by-point fallback: an integrand that is not vectorized raises
+    with pytest.raises(error):
+        integrate(f, 0.0, 1.0)
+
+
 def test_catalan_series():
     b2 = catalan_beta2()
     assert b2 == pytest.approx(BETA2, abs=1e-13)

@@ -60,7 +60,7 @@ def test_convolve_two_atoms():
 
 
 def test_convolve_j_delta():
-    assert convolve(K.J, Seq.delta(0), 2)[1] == K.j_kernel(1)
+    assert convolve(K.J, Seq.delta(0), 2)[1] == K.J.value(1)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=9),
