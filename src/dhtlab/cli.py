@@ -14,6 +14,9 @@ import json
 import math
 import sys
 
+# numpy-free: a kernels dump reads the scalar formulas, not dhtlab.kernels
+from dhtlab.kernel_entries import PARITY, window_values
+
 _SCHEMA = "dhtlab/1"
 
 
@@ -40,31 +43,25 @@ def _json_doc(command: str, config: dict, results) -> str:
                        "config": config, "results": results}, indent=2) + "\n"
 
 
-def _csv_doc(command: str, config: dict, header: str, rows) -> str:
+def _table_doc(command: str, config: dict, columns, rows) -> str:
+    """``rows`` as JSON objects keyed by ``columns``, or as CSV lines under
+    a ``columns`` header, as ``config["format"]`` says."""
+    if config["format"] == "json":
+        return _json_doc(command, config, [dict(zip(columns, row)) for row in rows])
     lines = [f"# {_SCHEMA} {command} config={json.dumps(config, sort_keys=True)}",
-             header]
-    lines.extend(rows)
+             ",".join(columns)]
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _cmd_kernels(args, parser) -> int:
-    # numpy-free: a dump reads the scalar formulas, not dhtlab.kernels
-    from dhtlab.kernel_entries import PARITY, window_values
-    if args.kernel not in PARITY:
-        parser.error(f"unknown kernel {args.kernel!r} "
-                     f"(choose from {sorted(PARITY)})")
     with _usage_errors(parser):
         vals = window_values(args.kernel, args.radius)
     ns = range(-args.radius, args.radius + 1)
     config = {"kernel": args.kernel, "radius": args.radius,
               "format": args.format}
-    if args.format == "json":
-        doc = _json_doc("kernels", config,
-                        [{"n": n, "value": v} for n, v in zip(ns, vals)])
-    else:
-        rows = [f"{n},{v!r}" for n, v in zip(ns, vals)]
-        doc = _csv_doc("kernels", config, "n,value", rows)
-    _emit(doc, args.output)
+    _emit(_table_doc("kernels", config, ("n", "value"), zip(ns, vals)),
+          args.output)
     return 0
 
 
@@ -86,11 +83,11 @@ def _cmd_norms(args, parser) -> int:
     from dhtlab.kernels import KERNELS
     from dhtlab.norms import norm_sweep
     from dhtlab.numerics import Exponent
-    if args.kernel not in KERNELS:
-        parser.error(f"unknown kernel {args.kernel!r}")
     try:
         radii = [int(r) for r in args.radii.split(",") if r]
     except ValueError:
+        radii = []
+    if not radii:
         parser.error(f"bad radii list {args.radii!r}")
     with _usage_errors(parser):
         ests = norm_sweep(KERNELS[args.kernel], Exponent(args.p), radii,
@@ -98,18 +95,11 @@ def _cmd_norms(args, parser) -> int:
     config = {"kernel": args.kernel, "p": args.p, "radii": radii,
               "seed": args.seed, "max_iter": args.max_iter, "tol": args.tol,
               "format": args.format}
-    if args.format == "json":
-        doc = _json_doc("norms", config, [
-            {"kernel": args.kernel, "p": args.p, "N": est.window_radius,
-             "estimate": est.value, "iterations": est.iterations,
-             "converged": est.converged} for est in ests])
-    else:
-        rows = [f"{args.kernel},{args.p!r},{est.window_radius},"
-                f"{est.value!r},{est.iterations},{est.converged}"
-                for est in ests]
-        doc = _csv_doc("norms", config,
-                       "kernel,p,N,estimate,iterations,converged", rows)
-    _emit(doc, args.output)
+    rows = [(args.kernel, args.p, est.window_radius, est.value,
+             est.iterations, est.converged) for est in ests]
+    _emit(_table_doc("norms", config, ("kernel", "p", "N", "estimate",
+                                       "iterations", "converged"), rows),
+          args.output)
     return 0
 
 
@@ -126,8 +116,6 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_weaktype(args, parser) -> int:
     from dhtlab.kernels import KERNELS
     from dhtlab.weaktype import davis_constant, search_weak_constant
-    if args.kernel not in KERNELS:
-        parser.error(f"unknown kernel {args.kernel!r}")
     with _usage_errors(parser):
         best = search_weak_constant(KERNELS[args.kernel], args.family,
                                     args.budget, seed=args.seed,
@@ -255,6 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(args, "kernel") and args.kernel not in PARITY:
+        parser.error(f"unknown kernel {args.kernel!r} "
+                     f"(choose from {sorted(PARITY)})")
     handlers = {
         "kernels": _cmd_kernels,
         "factorize": _cmd_factorize,

@@ -23,7 +23,6 @@ __all__ = [
     "FactorizationReport",
     "build_K",
     "verify_factorization",
-    "j_decomposition_residual",
 ]
 
 
@@ -146,24 +145,3 @@ def verify_factorization(a: Seq, window: int, mass_tol: float = 1e-8,
                    + a_l1 * (j_err + 1e-12))
     return FactorizationReport(residual, budget, bool(residual <= budget),
                                window, float(kit.mass_defect))
-
-
-def j_decomposition_residual(n_max: int, window: int):
-    """max_n |J_n - H_n - (H * E)_n| over |n| <= n_max, plus its budget.
-
-    The convolution is truncated to |m| <= window; the budget combines the
-    m^-3 summand tail with the summed error bars of the kernels.
-    """
-    e = E.read(-window, window)
-    ms = np.arange(-window, window + 1)
-    resid = 0.0
-    for n in range(-n_max, n_max + 1):
-        h_at = np.zeros(len(ms))
-        nz = ms != n
-        h_at[nz] = 1.0 / (math.pi * (n - ms[nz]))
-        he = float(np.dot(h_at, e.values))
-        resid = max(resid, abs(J.value(n) - HILBERT.value(n) - he))
-    tail = 2.0 * e_tail_constant() / (math.pi * window * max(window - n_max - 1, 1))
-    budget = tail + float(np.sum(e.bars)) / math.pi \
-        + float(np.max(J.error_window(n_max))) + 1e-13
-    return resid, budget

@@ -58,12 +58,12 @@ Statistical acceptance is always "within 3 standard errors".
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from dhtlab.halfplane import green_G, h_fields, poisson_p
+from dhtlab.numerics import check_integer
 from dhtlab.numerics import gk_nodes, gk_sums  # fixed rule for expected-occupation cells
 from dhtlab.seqops import Seq
 
@@ -85,14 +85,6 @@ _TWO_PI = 2.0 * math.pi
 # _BATCH + 2m entries and a pool of 2 max(_BATCH, m) normals, each below
 # glibc's default 128 KiB mmap threshold up to m = 4096 (80 and 64 KiB)
 _BATCH = 2048
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a non-integer site or count, a float such as 2.0 included."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ class SdeConfig:
     dt_cap: float = 5.0
 
     def __post_init__(self):
-        _check_integer("n", self.n)       # 2 pi n must be a lattice point
+        check_integer("n", self.n)       # 2 pi n must be a lattice point
         if not (self.dt > 0 and self.kill_eps > 0):
             raise ValueError("dt and kill_eps must be positive")
         if self.dt > self.kill_eps ** 2 / 4.0:
@@ -154,8 +146,8 @@ class OccupationGrid:
     ny: int
 
     def __post_init__(self):
-        _check_integer("nx", self.nx)
-        _check_integer("ny", self.ny)
+        check_integer("nx", self.nx)
+        check_integer("ny", self.ny)
         if not (self.y_min > 0 and self.y_max > self.y_min
                 and self.x_max > self.x_min and self.nx > 0 and self.ny > 0):
             raise ValueError("invalid occupation grid")

@@ -39,7 +39,7 @@ import math
 import sys
 
 __all__ = [
-    "N0", "PARITY", "LITERALS", "SERIES",
+    "N0", "PARITY", "CLOSED_FORMS", "LITERALS", "SERIES",
     "hilbert", "rt", "kak", "adp", "j_series", "f_series", "e_series",
     "rounding_bar", "index", "index_range", "entry", "window_values",
 ]
@@ -136,24 +136,35 @@ def rounding_bar(v):
 # -- closed forms: n an int or an int64 array ------------------------------------
 
 def hilbert(n):
-    """1/(pi n), for n != 0 (H_0 = 0)."""
+    """1/(pi n)."""
     return 1.0 / (_PI * n)
 
 
 def rt(n):
-    """1/(pi (n + 1/2)), at every n."""
+    """1/(pi (n + 1/2))."""
     return 1.0 / (_PI * (n + 0.5))
 
 
 def kak(n):
-    """2/(pi n), for odd n (K_n = 0 on even n)."""
+    """2/(pi n)."""
     return 2.0 / (_PI * n)
 
 
 def adp(n):
-    """n / (pi (n^2 - 1/4)), at every n."""
+    """n / (pi (n^2 - 1/4))."""
     x = n * 1.0
     return x / (_PI * (x * x - 0.25))
+
+
+# name -> (formula, where): the formula is evaluated where ``where(n)`` is
+# true, or at every n for None, and the entry is 0 elsewhere.  ``where``
+# takes an int or an int64 array alike.
+CLOSED_FORMS = {
+    "H": (hilbert, lambda n: n != 0),
+    "RT": (rt, None),
+    "K": (kak, lambda n: n % 2 != 0),
+    "ADP": (adp, None),
+}
 
 
 # -- moment series: m >= N0, an int or an int64 array ------------------------------
@@ -224,14 +235,6 @@ def index_range(lo, hi) -> tuple[int, int]:
     return lo, hi
 
 
-_CLOSED_FORMS = {
-    "H": lambda n: hilbert(n) if n else 0.0,
-    "RT": rt,
-    "K": lambda n: kak(n) if n % 2 else 0.0,
-    "ADP": adp,
-}
-
-
 def entry(name: str, n) -> float:
     """K_n as a float, with the bits of ``dhtlab.kernels.KERNELS[name].value(n)``.
 
@@ -239,8 +242,9 @@ def entry(name: str, n) -> float:
     the series at |n| and take the sign of n if odd.
     """
     n = index(n)
-    if name in _CLOSED_FORMS:
-        return _CLOSED_FORMS[name](n)
+    if name in CLOSED_FORMS:
+        formula, where = CLOSED_FORMS[name]
+        return formula(n) if where is None or where(n) else 0.0
     m = abs(n)
     v = LITERALS[name][m] if m < N0 else SERIES[name](m)[0]
     return -v if n < 0 and PARITY[name] == "odd" else v
@@ -258,7 +262,7 @@ def window_values(name: str, radius: int) -> list[float]:
     lo, hi = index_range(-radius, radius)
     # every row up front: a radius too large to hold fails here, before any work
     vals = [0.0] * (hi - lo + 1)
-    if name in _CLOSED_FORMS:
+    if name in CLOSED_FORMS:
         for i in range(len(vals)):
             vals[i] = entry(name, lo + i)
         return vals

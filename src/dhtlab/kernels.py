@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from dhtlab.kernel_entries import (
-    LITERALS, N0, PARITY, SERIES, adp, hilbert, index, index_range, kak,
-    rounding_bar, rt,
+    CLOSED_FORMS, LITERALS, N0, PARITY, SERIES, index, index_range,
+    rounding_bar,
 )
 
 __all__ = [
@@ -96,8 +96,9 @@ class KernelWindow:
 
 
 class Kernel:
-    """A doubly-infinite kernel given by a batch generator (a closed form, or
-    literals and a series) and its parity.
+    """A doubly-infinite kernel: a name and a batch generator (a closed form,
+    or literals and a series).  The parities and formulas of the seven
+    kernels in ``KERNELS`` live in ``dhtlab.kernel_entries``.
 
     It keeps no state: every read is one generator call on the indices read.
     An entry's bits depend on its index alone, the same in any window, and
@@ -108,11 +109,8 @@ class Kernel:
     # Not read by dhtlab; the benchmark harness splits its entry counts here.
     cache_radius = 4096
 
-    def __init__(self, name: str, batch_fn, parity: str):
-        if parity not in ("odd", "even", "none"):
-            raise ValueError(f"bad parity {parity!r}")
+    def __init__(self, name: str, batch_fn):
         self.name = name
-        self.parity = parity
         self._batch_fn = batch_fn
 
     def evaluate(self, ns):
@@ -150,33 +148,24 @@ class Kernel:
         return self._read(-radius, radius)[1]
 
     def __repr__(self):
-        return f"Kernel({self.name!r}, parity={self.parity})"
+        return f"Kernel({self.name!r})"
 
 
-# -- closed-form batch generators ---------------------------------------------
+def _closed_batch(name):
+    """The batch generator of H, RT, K or ADP: the formula where it is
+    evaluated, 0 elsewhere."""
+    formula, where = CLOSED_FORMS[name]
 
-def _hilbert_batch(ns):
-    vals = np.zeros(len(ns))
-    nz = ns != 0
-    vals[nz] = hilbert(ns[nz])
-    return vals, rounding_bar(vals)
+    def batch(ns):
+        if where is None:
+            vals = formula(ns)
+        else:
+            vals = np.zeros(len(ns))
+            at = where(ns)
+            vals[at] = formula(ns[at])
+        return vals, rounding_bar(vals)
 
-
-def _rt_batch(ns):
-    vals = rt(ns)
-    return vals, rounding_bar(vals)
-
-
-def _kak_batch(ns):
-    vals = np.zeros(len(ns))
-    odd = (ns % 2) != 0
-    vals[odd] = kak(ns[odd])
-    return vals, rounding_bar(vals)
-
-
-def _adp_batch(ns):
-    vals = adp(ns)
-    return vals, rounding_bar(vals)
+    return batch
 
 
 def _series_batch(name):
@@ -191,15 +180,11 @@ def _series_batch(name):
     return batch
 
 
-HILBERT = Kernel("H", _hilbert_batch, PARITY["H"])
-RT = Kernel("RT", _rt_batch, PARITY["RT"])
-KAK = Kernel("K", _kak_batch, PARITY["K"])
-ADP = Kernel("ADP", _adp_batch, PARITY["ADP"])
-J = Kernel("J", _series_batch("J"), PARITY["J"])
-F = Kernel("F", _series_batch("F"), PARITY["F"])
-E = Kernel("E", _series_batch("E"), PARITY["E"])
-
-KERNELS = {k.name: k for k in (HILBERT, RT, KAK, ADP, J, F, E)}
+KERNELS = {name: Kernel(name, _closed_batch(name) if name in CLOSED_FORMS
+                        else _series_batch(name))
+           for name in PARITY}
+HILBERT, RT, KAK, ADP, J, F, E = (KERNELS[k] for k in
+                                  ("H", "RT", "K", "ADP", "J", "F", "E"))
 
 
 def e_tail_constant() -> float:

@@ -8,6 +8,7 @@ chosen to be attainable in double precision.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "QuadResult",
     "QuadratureError",
     "Exponent",
+    "check_integer",
     "integrate",
     "catalan_beta2",
     "pichorides_constant",
@@ -118,6 +120,15 @@ class Exponent:
     @property
     def pstar(self) -> float:
         return max(self.p, self.q)
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer (a Python or
+    numpy int), a float such as 2.0 included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def gk_nodes(lo, hi):
@@ -280,7 +291,7 @@ def pichorides_constant(e: Exponent) -> float:
     return math.cos(ang) / math.sin(ang)
 
 
-# -- numerically stable hyperbolic helpers (used by kernel integrands) --------
+# -- numerically stable hyperbolic helpers (used by identities) ---------------
 
 def csch(y):
     """1/sinh(y) for y > 0 without overflow at large y."""

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from dhtlab.kernels import Kernel
-from dhtlab.numerics import Exponent
+from dhtlab.numerics import Exponent, check_integer
 
 __all__ = [
     "Seq",
@@ -43,7 +43,7 @@ class Seq:
         vals = np.asarray(self.values, dtype=float).copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", check_integer("offset", self.offset))
 
     @staticmethod
     def delta(n: int = 0, weight: float = 1.0) -> "Seq":
@@ -222,6 +222,7 @@ class ConvOperator:
     _fft_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_integer("window_radius", self.window_radius)
         if self.window_radius < 1:
             raise ValueError("window_radius must be >= 1")
         n = self.window_radius

@@ -180,6 +180,8 @@ def test_mc_bad_input_usage_error(capsys, argv):
     ["weaktype", "--window", "10"],               # support reaches the edge
     ["weaktype", "--family", "discretized_bumps", "--window", "7"],  # no bump fits
     ["kernels", "--kernel", "J", "--radius", str(2 ** 62)],  # 2^63 + 1 entries
+    ["norms", "--kernel", "H", "--p", "2", "--radii", ""],
+    ["norms", "--kernel", "H", "--p", "2", "--radii", ","],
 ])
 def test_bad_input_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,9 @@ are reached only through self or cls (stricter than needed, but simple to
 check).  ``hprocess_mc`` imports neither ``identities`` nor ``kernels``: the
 Monte Carlo engine reads the half-plane fields from ``halfplane`` alone.
 Every name in a module's ``__all__`` exists (checked on the imported module,
-so the names ``dhtlab`` resolves on first use count).
+so the names ``dhtlab`` resolves on first use count).  ``kernel_entries``
+is the one registry of kernel facts, and ``kernels`` builds one kernel per
+entry.
 """
 
 import ast
@@ -14,6 +16,9 @@ import types
 from pathlib import Path
 
 import pytest
+
+from dhtlab import kernel_entries as KE
+from dhtlab.kernels import KERNELS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dhtlab"
 FORBIDDEN_IMPORTS = {"hprocess_mc": {"identities", "kernels"}}
@@ -94,3 +99,11 @@ def test_stale_export_check_sees_a_deleted_name():
     module.__all__ = ["kept", "deleted"]
     module.kept = None
     assert _stale_exports(module) == ["deleted"]
+
+
+def test_kernel_registry_is_consistent():
+    assert set(KERNELS) == set(KE.PARITY)
+    closed, series = set(KE.CLOSED_FORMS), set(KE.SERIES)
+    assert closed | series == set(KE.PARITY) and not closed & series
+    assert set(KE.LITERALS) == series
+    assert set(KE.PARITY.values()) <= {"odd", "even", "none"}

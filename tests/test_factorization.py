@@ -86,11 +86,6 @@ def test_window_doubling_keeps_budget():
     assert r2.max_abs_residual <= r2.budget
 
 
-def test_j_decomposition_small_window():
-    resid, budget = FZ.j_decomposition_residual(16, 2048)
-    assert resid <= budget
-
-
 def test_e_window_tail_constant_consistency():
     # the ledgered tail constant really dominates the windowed entries
     w = E.window(64)

@@ -165,10 +165,12 @@ def test_ihq_family():
     assert rep0.rhs == 0.0 and rep0.passed
 
 
-def test_ihj_matches_F():
-    rep = I.verify_ihj(2, 2000)
+@pytest.mark.parametrize("n", range(-16, 17))
+def test_ihj_matches_F(n):
+    # with J = H + F (test_f_kernel_identity_and_decay), J = H + H * E
+    rep = I.verify_ihj(n, 2000)
     assert rep.passed
-    assert rep.rhs == F.value(2)
+    assert rep.rhs == F.value(n)
 
 
 @given(plane_points)

@@ -134,7 +134,7 @@ def _counted(kernel):
         calls.append(ns.copy())
         return kernel.evaluate(ns)
 
-    return K.Kernel(kernel.name, batch, parity=kernel.parity), calls
+    return K.Kernel(kernel.name, batch), calls
 
 
 @pytest.mark.parametrize("orig", [K.J, K.E, K.F], ids=["J", "E", "F"])
@@ -307,10 +307,8 @@ def test_scalar_entries_equal_the_array_path(name):
 
 
 def test_parity_flags():
-    assert K.J.parity == "odd" and K.E.parity == "even"
-    assert K.RT.parity == "none"
-    with pytest.raises(ValueError):
-        K.Kernel("bad", lambda ns: (ns, ns), parity="weird")
+    assert KE.PARITY["J"] == "odd" and KE.PARITY["E"] == "even"
+    assert KE.PARITY["RT"] == "none"
 
 
 def test_error_windows_are_small():
@@ -382,7 +380,7 @@ def test_literals_and_series_agree_at_the_seam():
             integral = _mp_f_integral(mp, n)
             for kernel, true in ((K.J, (1 + integral) / (mp.pi * n)),
                                  (K.F, integral / (mp.pi * n)), (K.E, _mp_e(mp, n))):
-                sign = 1 if kernel.parity == "even" else -1
+                sign = 1 if KE.PARITY[kernel.name] == "even" else -1
                 for m, s in ((n, 1), (-n, sign)):
                     err = abs(mp.mpf(kernel.value(m)) - s * true)
                     assert err <= _bar(kernel, m), (kernel.name, m)
@@ -409,7 +407,7 @@ def test_series_moments():
 
 @pytest.mark.parametrize("kernel,radius", [(K.F, 31), (K.E, 881), (K.F, 5873)])
 def test_parity_is_exact(kernel, radius):
-    sign = 1.0 if kernel.parity == "even" else -1.0
+    sign = 1.0 if KE.PARITY[kernel.name] == "even" else -1.0
     w = kernel.window(radius)
     errs = kernel.error_window(radius)
     assert np.array_equal(w[radius + 1:], sign * w[radius - 1::-1])

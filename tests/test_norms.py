@@ -21,14 +21,14 @@ def _nan_kernel():
     def batch(ns):
         vals, errs = K.HILBERT.evaluate(ns)
         return np.where(np.asarray(ns) == 3, np.nan, vals), errs
-    return K.Kernel("H+nan", batch, parity="none")
+    return K.Kernel("H+nan", batch)
 
 
 def _identity_kernel():
     def batch(ns):
         v = np.where(np.asarray(ns) == 0, 1.0, 0.0).astype(float)
         return v, np.zeros_like(v)
-    return K.Kernel("I", batch, parity="even")
+    return K.Kernel("I", batch)
 
 
 def test_vector_bound_examples():
@@ -66,7 +66,7 @@ def test_zero_operator_estimate():
     def batch(ns):
         z = np.zeros(len(ns))
         return z, z
-    op = ConvOperator(K.Kernel("0", batch, parity="even"), 8)
+    op = ConvOperator(K.Kernel("0", batch), 8)
     est = estimate_norm(op, P2)
     assert est.value == 0.0 and est.converged
 
@@ -136,7 +136,7 @@ def test_nan_kernel_fails_loudly(p, N):
 
 def test_duality_agreement():
     op = ConvOperator(K.J, 128)
-    op_t = ConvOperator(K.Kernel("J^T", lambda ns: K.J.evaluate(-ns), "odd"), 128)
+    op_t = ConvOperator(K.Kernel("J^T", lambda ns: K.J.evaluate(-ns)), 128)
     est_p = estimate_norm(op, P4, max_iter=4000, tol=1e-12)
     est_q = estimate_norm(op_t, P43, max_iter=4000, tol=1e-12)
     assert abs(est_p.value - est_q.value) < 1e-6
@@ -145,8 +145,7 @@ def test_duality_agreement():
 def test_scaling_homogeneity_exact():
     op = ConvOperator(K.HILBERT, 32)
     op2 = ConvOperator(K.Kernel("2H", lambda ns: (2.0 * K.HILBERT.evaluate(ns)[0],
-                                                 2.0 * K.HILBERT.evaluate(ns)[1]),
-                                "odd"), 32)
+                                                 2.0 * K.HILBERT.evaluate(ns)[1])), 32)
     # a tiny tolerance pins both runs to the same iteration count, so the
     # homogeneity of every operation makes the doubling exact
     e1 = estimate_norm(op, P2, max_iter=60, tol=1e-18)

@@ -115,7 +115,7 @@ def test_adjoint_inner_product(av, bv):
     if a.trimmed().is_zero() or b.trimmed().is_zero():
         return
     Ta = convolve(K.J, a, 12)
-    Ttb = convolve(K.Kernel("J^T", lambda ns: K.J.evaluate(-ns), "odd"), b, 12)
+    Ttb = convolve(K.Kernel("J^T", lambda ns: K.J.evaluate(-ns)), b, 12)
     ip1 = math.fsum(Ta[n] * b[n] for n in range(-12, 13))
     ip2 = math.fsum(a[n] * Ttb[n] for n in range(-12, 13))
     scale = max(1.0, abs(ip1))
@@ -171,6 +171,23 @@ def test_conv_operator_is_frozen():
     assert np.array_equal(op.apply_dense(v), want)
 
 
+def test_non_integer_sizes_are_rejected():
+    # a float radius used to build an operator whose every matvec raised
+    # TypeError, and a float offset was truncated without a word
+    for radius in (2.5, 2.0):
+        with pytest.raises(ValueError, match=f"window_radius must be an integer, got {radius}"):
+            ConvOperator(K.HILBERT, radius)
+    with pytest.raises(ValueError, match="offset must be an integer, got 0.5"):
+        Seq(0.5, [1.0])
+
+
+def test_numpy_integer_sizes_are_accepted():
+    v = np.ones(7)
+    op = ConvOperator(K.HILBERT, np.int64(3))
+    assert np.array_equal(op.apply_dense(v), ConvOperator(K.HILBERT, 3).apply_dense(v))
+    assert Seq(np.int64(2), [1.0]).offset == 2
+
+
 def test_each_operator_reads_its_window_once_even_under_threads():
     # two threads, switching often, run norm estimates at different radii on
     # a kernel that counts its evaluations: each operator reads its window
@@ -182,7 +199,7 @@ def test_each_operator_reads_its_window_once_even_under_threads():
         reads.append(len(ns))
         return K.J.evaluate(ns)
 
-    counted = K.Kernel("J", batch, parity="odd")
+    counted = K.Kernel("J", batch)
     radii = (2048, 4096)
     ops = [ConvOperator(counted, n) for n in radii]
     assert sorted(reads) == [4 * n + 1 for n in radii]
@@ -211,9 +228,9 @@ def test_each_operator_reads_its_window_once_even_under_threads():
 
     # interleaved operators, sizes and directions give each operator the
     # bits of a fresh operator run alone
-    j_t = K.Kernel("J^T", lambda ns: K.J.evaluate(-ns), "odd")
+    j_t = K.Kernel("J^T", lambda ns: K.J.evaluate(-ns))
     h2 = K.Kernel("2H", lambda ns: (2.0 * K.HILBERT.evaluate(ns)[0],
-                                    2.0 * K.HILBERT.evaluate(ns)[1]), "odd")
+                                    2.0 * K.HILBERT.evaluate(ns)[1]))
     ops = [ConvOperator(K.HILBERT, 256), ConvOperator(K.J, 1024),
            ConvOperator(j_t, 256), ConvOperator(h2, 256), ConvOperator(K.J, 100)]
     rng = np.random.default_rng(5)

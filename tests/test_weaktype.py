@@ -18,7 +18,7 @@ def _identity_kernel():
     def batch(ns):
         v = np.where(np.asarray(ns) == 0, 1.0, 0.0).astype(float)
         return v, np.zeros_like(v)
-    return K.Kernel("I", batch, parity="even")
+    return K.Kernel("I", batch)
 
 
 def test_davis_constant():
@@ -275,7 +275,7 @@ def test_search_evaluates_kernel_once_per_run(monkeypatch):
             calls.append(len(ns))
             return orig.evaluate(ns)
 
-        k = K.Kernel(name, batch, parity=orig.parity)
+        k = K.Kernel(name, batch)
         for family, budget in (("random_signs", 12), ("greedy_atoms", 12),
                                ("discretized_bumps", 6)):
             calls.clear()
@@ -295,7 +295,7 @@ def _nan_kernel(bad):
     def batch(ns):
         vals, errs = K.HILBERT.evaluate(ns)
         return np.where(bad(np.asarray(ns)), np.nan, vals), errs
-    return K.Kernel("H", batch, parity="odd")
+    return K.Kernel("H", batch)
 
 
 # a unit atom convolves directly, a bump of 1023 samples through the FFT
