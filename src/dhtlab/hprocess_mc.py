@@ -30,12 +30,39 @@ reads them.  Once the buffers hold ``_BATCH`` path-steps (and at the end of
 the chunk), one pass evaluates 1/h and grad log h (``halfplane.h_fields``),
 the functional and the occupation cells for the whole batch,
 ``np.add.at`` adds the terms into the per-path sums, and the live state
-moves to the front.  This spreads numpy's per-call cost, which dominates at
-the narrow widths most steps run at, over many steps.  Occupation runs skip
-h since they read neither.  The batching keeps every bit: the fields and the
-functional are elementwise, so a path-step's terms do not depend on the rest
-of its batch, and ``np.add.at`` adds in index order, so each per-path sum
-receives the same terms in the same step order as adding them step by step.
+moves to the front of the next ring slot (below).  This spreads numpy's
+per-call cost, which dominates at the narrow widths most steps run at, over
+many steps.  Occupation runs skip h since they read neither.  The batching
+keeps every bit: the fields and the functional are elementwise, so a
+path-step's terms do not depend on the rest of its batch, and ``np.add.at``
+adds in index order, so each per-path sum receives the same terms in the
+same step order as adding them step by step.
+
+The loop never reads what a flush writes, so with a second CPU the flushes
+run in a forked worker while the parent steps on (``_FlushQueue``).  Each
+chunk maps one shared anonymous region (``mmap``, MAP_SHARED) that holds
+the functional sums, the occupation bins and a ring of ``_SLOTS`` slots,
+each a copy of the buffers that the flush reads; an occupation run keeps
+x, y and the drift, which its flush never reads, in private arrays.  At a
+full batch the parent writes (slot, k) down a pipe, moves the live state to
+the front of the next slot and steps on.  The worker flushes slots strictly
+in the order it gets them and writes each one back once it is free, so
+every per-path sum still takes its terms in step order, and the parent
+waits only when its next slot is still queued.  The worker is forked at
+the chunk's first full batch, so a chunk that never fills one never forks;
+with fewer than two CPUs in the process's affinity (``taskset`` decides) or
+no ``os.fork``, the ring has one slot and every flush runs inline.  The
+worker runs only its job loop and leaves by ``os._exit``, never unwinding
+into the caller's stack.  When the chunk ends, by return or by raise, the
+parent closes the job pipe, the worker drains its queue and exits, and the
+parent reaps it; a worker that failed raises in the parent.  The worker
+calls elementwise ufuncs and ``np.add.at`` only, so it runs no BLAS and
+starts no threads.  Python 3.12 and later warn (DeprecationWarning) on a
+fork while numpy's BLAS threads exist; 3.11 does not.  The ring costs
+``_SLOTS`` x (_BATCH + 2m) x 8 bytes per buffer the flush reads (six for
+the functional, four for the occupation, nine for both): 1.6 MB for a
+1000-path functional chunk, 5.9 MB for 4096 paths and both; its pages are
+faulted in once per chunk, and unmapped when the chunk returns.
 
 A step also skips work that cannot change a bit:
 
@@ -58,6 +85,11 @@ Statistical acceptance is always "within 3 standard errors".
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import struct
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +113,19 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 # path-steps gathered before the functional and the occupation bins are
 # evaluated: enough to spread numpy's per-call cost over the narrow widths
-# most steps run at.  A chunk of m paths has path-step buffers of
-# _BATCH + 2m entries and a pool of 2 max(_BATCH, m) normals, each below
-# glibc's default 128 KiB mmap threshold up to m = 4096 (80 and 64 KiB)
+# most steps run at.  A chunk of m paths steps into ring slots of
+# _BATCH + 2m entries per buffer, in one mapping per chunk (see
+# _simulate_chunk); its pool of 2 max(_BATCH, m) normals stays below
+# glibc's default 128 KiB mmap threshold up to m = 4096 (64 KiB), so it
+# reuses heap pages from chunk to chunk
 _BATCH = 2048
+# ring slots, so batches queued for the flush worker at most
+_SLOTS = 8
+# the path-step buffers of a ring slot, in the order _simulate_chunk unpacks them
+_BUFFERS = ("x", "y", "bx", "by", "idx", "dtsum", "mx", "my", "dt")
+# pipe messages: (slot, path-steps) to the flush worker, a freed slot back
+_JOB = struct.Struct("=ii")
+_FREED = struct.Struct("=i")
 
 
 @dataclass(frozen=True)
@@ -112,8 +153,11 @@ class SdeConfig:
 
     def __post_init__(self):
         check_integer("n", self.n)       # 2 pi n must be a lattice point
-        if not (self.dt > 0 and self.kill_eps > 0):
-            raise ValueError("dt and kill_eps must be positive")
+        if check_integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        # an infinite kill_eps would absorb every path on its first step
+        if not (self.dt > 0 and 0 < self.kill_eps < math.inf):
+            raise ValueError("dt must be positive and kill_eps finite and positive")
         if self.dt > self.kill_eps ** 2 / 4.0:
             raise ValueError("need dt <= kill_eps^2/4 to resolve the boundary layer")
         if not (math.isfinite(self.start[0]) and 0 < self.start[1] < math.inf):
@@ -233,6 +277,118 @@ def _calm_height(cfg: SdeConfig) -> float:
     return math.sqrt(cfg.dt / 1.99) if cfg.step_scale < 1.99 else math.inf
 
 
+def _ring_slots() -> int:
+    """Slots of a chunk's ring: ``_SLOTS`` when a forked worker can flush
+    on a second CPU, else 1, and every flush runs inline.  ``taskset``
+    decides: the count is read from this process's CPU affinity."""
+    if (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return _SLOTS
+    return 1
+
+
+class _FlushQueue:
+    """Runs ``flush(slot, k)`` for each batch handed off, in hand-off order.
+
+    With one slot each flush runs inline, at once.  With more, the first
+    batch handed off forks a worker, which reads (slot, k) jobs from a pipe,
+    flushes them strictly in that order and writes each slot back down a
+    second pipe once it is free; the parent waits only when the slot it
+    steps into next is still queued.  Leaving the ``with`` block closes the
+    job pipe, so the worker drains its queue and exits, and reaps it; a
+    worker that failed raises here.
+    """
+
+    def __init__(self, flush, slots: int):
+        self.flush, self.slots = flush, slots
+        self.pid = None
+        self.queued = 0        # jobs sent whose slot has not been read back
+
+    def hand_off(self, slot: int, k: int) -> int:
+        """Flush the first k path-steps of ``slot``, here or in the worker;
+        returns the slot to step into next, once it is free."""
+        if self.slots == 1:
+            self.flush(slot, k)
+            return slot
+        if self.pid is None:
+            self._fork()
+        self._send(slot, k)
+        nxt = (slot + 1) % self.slots
+        if self.queued == self.slots:
+            # the worker frees slots in the order they were sent, so the
+            # next one to come back is the oldest, nxt
+            freed = os.read(self.done, _FREED.size)
+            if not freed:
+                raise RuntimeError("the Monte Carlo flush worker exited early")
+            assert _FREED.unpack(freed)[0] == nxt
+            self.queued -= 1
+        return nxt
+
+    def finish(self, slot: int, k: int) -> None:
+        """Flush the last batch: inline if no worker ever started."""
+        if self.pid is None:
+            self.flush(slot, k)
+        else:
+            self._send(slot, k)
+
+    def _send(self, slot: int, k: int) -> None:
+        try:
+            os.write(self.jobs, _JOB.pack(slot, k))
+        except BrokenPipeError:
+            raise RuntimeError("the Monte Carlo flush worker exited early") from None
+        self.queued += 1
+
+    def _fork(self) -> None:
+        jobs_r, jobs_w = os.pipe()
+        done_r, done_w = os.pipe()
+        try:
+            pid = os.fork()
+        except BaseException:
+            for fd in (jobs_r, jobs_w, done_r, done_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            # the worker: flush jobs until the parent closes the pipe, then
+            # leave by os._exit, never unwinding into the caller's stack
+            code = 1
+            try:
+                # an interrupt is the parent's to handle: it stops handing
+                # off, and the worker drains its queue and exits
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                os.close(jobs_w)
+                os.close(done_r)
+                # jobs are written whole (8 bytes, below PIPE_BUF) and read
+                # whole, so a read returns one job, or nothing at the end
+                while job := os.read(jobs_r, _JOB.size):
+                    slot, k = _JOB.unpack(job)
+                    self.flush(slot, k)
+                    os.write(done_w, _FREED.pack(slot))
+                code = 0
+            except BaseException:
+                os.write(2, traceback.format_exc().encode())
+            finally:
+                os._exit(code)
+        os.close(jobs_r)
+        os.close(done_w)
+        self.pid, self.jobs, self.done = pid, jobs_w, done_r
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.pid is None:
+            return
+        os.close(self.jobs)            # end of jobs: the worker drains and exits
+        try:
+            status = os.waitpid(self.pid, 0)[1]
+        finally:
+            os.close(self.done)
+            self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code and exc_type is None:
+            raise RuntimeError(f"the Monte Carlo flush worker exited with code {code}")
+
+
 def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
                     grid: OccupationGrid | None):
     """Run paths 0..m-1 of chunk ``chunk`` on its own derived random stream.
@@ -248,12 +404,10 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
     shifts = _TWO_PI * ms if n_support == 1 else (_TWO_PI * ms)[:, None]
     target = _TWO_PI * cfg.n
     window = 5.0 * cfg.kill_eps           # absorption half-width, see SdeConfig
-    comp = np.zeros((n_support, m))
     absorbed = np.zeros(m, dtype=bool)
     lifetimes = np.zeros(m)
     end_x = np.zeros(m)
     end_y = np.zeros(m)
-    occ = np.zeros((m, grid.cells)) if grid is not None else None
     if grid is not None:
         wx = (grid.x_max - grid.x_min) / grid.nx
         wy = (grid.y_max - grid.y_min) / grid.ny
@@ -261,27 +415,38 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
     # path-step buffers, one flat array per quantity.  A step of w live
     # paths reads their states at [fill, fill + w), where the previous step
     # wrote them, and writes their next states at [fill + w, fill + 2w);
-    # fill < _BATCH before a step, so _BATCH + 2m never overflows them
+    # fill < _BATCH before a step, so _BATCH + 2m never overflows them.
+    # Each ring slot has its own copy of the buffers that the flush reads;
+    # they share one anonymous mapping (MAP_SHARED) with comp and occ, which
+    # the flush writes.  An occupation run's flush reads neither x, y nor
+    # the drift, so it keeps one private copy of those for every slot.
+    # dtsum holds dtk_prev + dtk, twice the trapezoidal weight
     cap = _BATCH + 2 * m
-    buf_x, buf_y, buf_bx, buf_by = (np.empty(cap) for _ in range(4))
-    buf_idx = np.empty(cap, dtype=np.int64)
-    if n_support:
-        # buf_dtsum holds dtk_prev + dtk, twice the trapezoidal weight
-        buf_dtsum = np.empty(cap)
-    if occ is not None:
-        buf_mx, buf_my, buf_dt = (np.empty(cap) for _ in range(3))
+    n_slots = _ring_slots()
+    flushed = ((["x", "y", "bx", "by", "dtsum"] if n_support else []) + ["idx"]
+               + (["mx", "my", "dt"] if grid is not None else []))
+    n_comp, n_occ = n_support * m, (m * grid.cells if grid is not None else 0)
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (n_comp + n_occ + n_slots * len(flushed) * cap)))
+    comp = shared[:n_comp].reshape(n_support, m)
+    occ = shared[n_comp:n_comp + n_occ].reshape(m, grid.cells) if grid is not None else None
+    ring = shared[n_comp + n_occ:].reshape(n_slots, len(flushed), cap)
+    private = {} if n_support else {name: np.empty(cap) for name in ("x", "y", "bx", "by")}
+    slots = []
+    for s in range(n_slots):
+        bufs = dict(zip(flushed, ring[s]), **private)
+        bufs["idx"] = bufs["idx"].view(np.int64)
+        slots.append(tuple(bufs.get(name) for name in _BUFFERS))
 
-    def flush(k):
-        ib = buf_idx[:k]
+    def flush(slot, k):
+        x, y, bx, by, ib, dtsum, mx, my, dt = (None if b is None else b[:k]
+                                               for b in slots[slot])
         if n_support:
-            x, y = buf_x[:k], buf_y[:k]
             h_inv, glx, gly = h_fields(x, y)
-            rows = _functional_rows(x, y, h_inv, glx, gly, buf_bx[:k],
-                                    buf_by[:k], shifts)
+            rows = _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts)
             # trapezoidal time rule: each state's integrand carries half
             # of the two adjacent step lengths, which centres the rule
             # and removes the leading step-size error of the integral
-            rows = np.reshape(rows * (0.5 * buf_dtsum[:k]), (n_support, k))
+            rows = np.reshape(rows * (0.5 * dtsum), (n_support, k))
             # np.add.at adds in index order, so each sum takes its terms in
             # step order; a call per site row is far cheaper than one 2-D call
             for row, vals in zip(comp, rows):
@@ -289,11 +454,11 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
         if occ is not None:
             # midpoint attribution of the step's time (left-point binning
             # systematically shifts occupation opposite to the motion)
-            ix = np.floor((0.5 * buf_mx[:k] - grid.x_min) / wx).astype(np.int64)
-            iy = np.floor((0.5 * buf_my[:k] - grid.y_min) / wy).astype(np.int64)
+            ix = np.floor((0.5 * mx - grid.x_min) / wx).astype(np.int64)
+            iy = np.floor((0.5 * my - grid.y_min) / wy).astype(np.int64)
             inside = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
             flat = ib * grid.cells + iy * grid.nx + ix
-            np.add.at(occ.reshape(-1), flat[inside], buf_dt[:k][inside])
+            np.add.at(occ.reshape(-1), flat[inside], dt[inside])
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk,)))
@@ -305,6 +470,8 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
     pool = np.empty(2 * max(_BATCH, m))
     used = len(pool)
     idx = np.arange(m)
+    slot = 0
+    buf_x, buf_y, buf_bx, buf_by, buf_idx, buf_dtsum, buf_mx, buf_my, buf_dt = slots[slot]
     buf_x[:m] = cfg.start[0]
     buf_y[:m] = cfg.start[1]
     t = np.zeros(m)
@@ -319,78 +486,84 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
     dtk_prev = np.zeros(m)
     fill, w = 0, m
 
-    while w:
-        end = fill + w
-        x, y = buf_x[fill:end], buf_y[fill:end]
-        x_new, y_new = buf_x[end:end + w], buf_y[end:end + w]
-        dtk = np.minimum(np.maximum(step_scale * y * y, dt), dt_cap)
-        bx, by = drift_field(cfg, x, y, out=(buf_bx[fill:end], buf_by[fill:end]))
-        buf_idx[fill:end] = idx
-        if n_support:
-            np.add(dtk_prev, dtk, out=buf_dtsum[fill:end])
-        # bound the drift displacement by twice the noise scale: far from
-        # the boundary pole this is the identity (no taming bias), near
-        # the pole it keeps single steps finite like standard taming
-        root = np.sqrt(dtk)
-        tame = dtk if y_lo > y_calm else _tame(bx, by, dtk, root)
-        if used + 2 * w > len(pool):
-            left = len(pool) - used
-            pool[:left] = pool[used:]
-            rng.standard_normal(out=pool[left:])
-            used = 0
-        xi = pool[used:used + 2 * w]        # (x, y) draw pairs, path by path
-        used += 2 * w
-        np.add(x, bx * tame, out=x_new)
-        x_new += root * xi[0::2]
-        np.add(y, by * tame, out=y_new)
-        y_new += root * xi[1::2]
-        if occ is not None:
-            np.add(x, x_new, out=buf_mx[fill:end])
-            np.add(y, y_new, out=buf_my[fill:end])
-            buf_dt[fill:end] = dtk
-        t += dtk
-        t_hi += cfg.dt_cap
+    with _FlushQueue(flush, n_slots) as flushes:
+        while w:
+            end = fill + w
+            x, y = buf_x[fill:end], buf_y[fill:end]
+            x_new, y_new = buf_x[end:end + w], buf_y[end:end + w]
+            dtk = np.minimum(np.maximum(step_scale * y * y, dt), dt_cap)
+            bx, by = drift_field(cfg, x, y, out=(buf_bx[fill:end], buf_by[fill:end]))
+            buf_idx[fill:end] = idx
+            if n_support:
+                np.add(dtk_prev, dtk, out=buf_dtsum[fill:end])
+            # bound the drift displacement by twice the noise scale: far from
+            # the boundary pole this is the identity (no taming bias), near
+            # the pole it keeps single steps finite like standard taming
+            root = np.sqrt(dtk)
+            tame = dtk if y_lo > y_calm else _tame(bx, by, dtk, root)
+            if used + 2 * w > len(pool):
+                left = len(pool) - used
+                pool[:left] = pool[used:]
+                rng.standard_normal(out=pool[left:])
+                used = 0
+            xi = pool[used:used + 2 * w]        # (x, y) draw pairs, path by path
+            used += 2 * w
+            np.add(x, bx * tame, out=x_new)
+            x_new += root * xi[0::2]
+            np.add(y, by * tame, out=y_new)
+            y_new += root * xi[1::2]
+            if occ is not None:
+                np.add(x, x_new, out=buf_mx[fill:end])
+                np.add(y, y_new, out=buf_my[fill:end])
+                buf_dt[fill:end] = dtk
+            t += dtk
+            t_hi += cfg.dt_cap
 
-        # only a path below kill_eps can be absorbed or need reflecting; a
-        # NaN height makes y_lo NaN, and the masks skip it as before
-        absorb_now = None
-        y_lo = np.minimum.reduce(y_new)
-        if not y_lo >= cfg.kill_eps:
-            absorb_now = y_new < cfg.kill_eps
-            absorb_now &= np.abs(x_new - target) < window
-            reflect = (y_new <= 0.0) & ~absorb_now
-            if np.count_nonzero(reflect):
-                y_new[reflect] = np.maximum(np.abs(y_new[reflect]), 1e-12)
-        done = absorb_now
-        if t_hi >= cfg.max_time:
-            t_hi = np.fmax.reduce(t)
+            # only a path below kill_eps can be absorbed or need reflecting; a
+            # NaN height makes y_lo NaN, and the masks skip it as before
+            absorb_now = None
+            y_lo = np.minimum.reduce(y_new)
+            if not y_lo >= cfg.kill_eps:
+                absorb_now = y_new < cfg.kill_eps
+                absorb_now &= np.abs(x_new - target) < window
+                reflect = (y_new <= 0.0) & ~absorb_now
+                if np.count_nonzero(reflect):
+                    y_new[reflect] = np.maximum(np.abs(y_new[reflect]), 1e-12)
+            done = absorb_now
             if t_hi >= cfg.max_time:
-                timed_out = t >= cfg.max_time
-                done = timed_out if done is None else done | timed_out
-        # count_nonzero is a cheaper truth test than .any() at small widths
-        if done is not None and np.count_nonzero(done):
-            sel = idx[done]
-            if absorb_now is not None:
-                absorbed[sel] = absorb_now[done]
-            lifetimes[sel] = t[done]
-            end_x[sel] = x_new[done]
-            end_y[sel] = y_new[done]
-            keep = ~done
-            idx, t, dtk = idx[keep], t[keep], dtk[keep]
-            w = len(idx)
-            buf_x[end:end + w] = x_new[keep]
-            buf_y[end:end + w] = y_new[keep]
-        dtk_prev = dtk
-        fill = end
-        if fill >= _BATCH:
-            flush(fill)
-            buf_x[:w] = buf_x[fill:fill + w]
-            buf_y[:w] = buf_y[fill:fill + w]
-            fill = 0
-
-    if fill:
-        flush(fill)
-    return comp, absorbed, lifetimes, end_x, end_y, occ
+                t_hi = np.fmax.reduce(t)
+                if t_hi >= cfg.max_time:
+                    timed_out = t >= cfg.max_time
+                    done = timed_out if done is None else done | timed_out
+            # count_nonzero is a cheaper truth test than .any() at small widths
+            if done is not None and np.count_nonzero(done):
+                sel = idx[done]
+                if absorb_now is not None:
+                    absorbed[sel] = absorb_now[done]
+                lifetimes[sel] = t[done]
+                end_x[sel] = x_new[done]
+                end_y[sel] = y_new[done]
+                keep = ~done
+                idx, t, dtk = idx[keep], t[keep], dtk[keep]
+                w = len(idx)
+                buf_x[end:end + w] = x_new[keep]
+                buf_y[end:end + w] = y_new[keep]
+            dtk_prev = dtk
+            fill = end
+            if fill >= _BATCH:
+                # the live states move to the front of the next free slot
+                slot = flushes.hand_off(slot, fill)
+                live_x, live_y = buf_x[fill:fill + w], buf_y[fill:fill + w]
+                (buf_x, buf_y, buf_bx, buf_by, buf_idx, buf_dtsum,
+                 buf_mx, buf_my, buf_dt) = slots[slot]
+                buf_x[:w] = live_x
+                buf_y[:w] = live_y
+                fill = 0
+        if fill:
+            flushes.finish(slot, fill)
+    # copies, so that the returned arrays do not hold the ring's mapping
+    return (comp.copy(), absorbed, lifetimes, end_x, end_y,
+            occ.copy() if occ is not None else None)
 
 
 def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
@@ -425,6 +598,7 @@ def estimate_T(a: Seq, cfg: SdeConfig, paths: int) -> PathStats:
     per-site time integrals are accumulated separately and combined at the
     end), so scaling ``a`` scales the estimate with no extra rounding.
     """
+    check_integer("paths", paths)
     comp, ms, absorbed, _, _, _ = _simulate(a, cfg, paths)
     coef = np.array([a[int(m)] for m in ms])
     samples = coef @ comp if len(ms) else np.zeros(paths)
@@ -483,7 +657,7 @@ def occupation_check(cfg: SdeConfig, grid: OccupationGrid,
     ``frac_within_3`` counts an unscored cell as outside.  A run with no
     path-to-path spread anywhere in the grid is an error.
     """
-    if paths < 2:
+    if check_integer("paths", paths) < 2:
         raise ValueError("occupation_check needs paths >= 2 for a standard error")
     _, _, absorbed, _, _, occ = _simulate(None, cfg, paths, grid=grid)
     total_se = float(np.std(occ.sum(axis=1), ddof=1) / math.sqrt(paths))

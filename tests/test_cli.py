@@ -160,6 +160,7 @@ def test_mc_heavy_gate(capsys):
     ["--x0", "nan"],                              # a NaN path never times out
     ["--mode", "occupation", "--paths", "2", "--max-time", "0.001"],  # no spread
     ["--max-time", "inf"],                        # a path may never retire
+    ["--kill-eps", "inf"],                        # every path absorbed at once
 ])
 def test_mc_bad_input_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +38,8 @@ def test_config_validation():
     bad += [{name: v} for name in ("step_scale", "dt_cap")
             for v in (0.0, -1.0, math.inf, math.nan)]
     bad.append(dict(dt=1e-4, dt_cap=5e-5))
+    # every path would be absorbed on its first step: mean 0, SE 0, no error
+    bad.append(dict(kill_eps=math.inf))
     for kwargs in bad:
         with pytest.raises(ValueError):
             SdeConfig(n=0, start=(0.0, 1.0), **kwargs)
@@ -44,6 +48,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="integer"):
             SdeConfig(n=n, start=(0.0, 1.0))
     assert SdeConfig(n=np.int64(2), start=(0.0, 1.0)).n == 2
+    # a fractional seed used to build and fail inside the run, a negative
+    # one only once its stream was seeded
+    for seed in (1.5, -1):
+        with pytest.raises(ValueError, match="seed"):
+            SdeConfig(n=0, start=(0.0, 1.0), seed=seed)
+    assert SdeConfig(n=0, start=(0.0, 1.0), seed=np.uint32(3)).seed == 3
     cfg = SdeConfig(n=2, start=(0.0, 5.0))
     assert cfg.dt <= cfg.kill_eps ** 2 / 4.0
 
@@ -171,6 +181,56 @@ def test_golden_taming_bits(monkeypatch):
     assert len(hypot_calls) >= 1 and sum(tamed_steps) >= 1
 
 
+@contextlib.contextmanager
+def _cpus(monkeypatch, n):
+    """A run on ``n`` CPUs: with one every flush runs inline, with two a
+    forked worker flushes.  Yields the list of the pids forked meanwhile."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        forks.append(pid)          # in the worker too, where nothing reads it
+        return pid
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        mp.setattr(os, "fork", counting_fork)
+        yield forks
+
+
+def test_a_failing_flush_worker_raises_in_the_parent(monkeypatch, capfd):
+    # the fork inherits the broken field, so only the worker's flush raises
+    def broken_h_fields(x, y):
+        raise FloatingPointError("broken h_fields")
+
+    monkeypatch.setattr(mc, "h_fields", broken_h_fields)
+    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=300.0)
+    with _cpus(monkeypatch, 2) as forks:
+        with pytest.raises(RuntimeError, match="flush worker"):
+            estimate_T(Seq.delta(0), cfg, 64)
+    assert len(forks) == 1
+    assert "broken h_fields" in capfd.readouterr().err      # the worker's traceback
+    with pytest.raises(ChildProcessError):                  # reaped: no child is left
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_run_that_never_fills_a_batch_does_not_fork(monkeypatch):
+    # 20 paths of about 23 steps: 460 path-steps, one flush, at the end
+    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=0.5)
+    with _cpus(monkeypatch, 1) as forks:
+        inline = estimate_T(Seq.delta(0), cfg, 20)
+    assert forks == []
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        mp.setattr(os, "fork", no_fork)
+        assert estimate_T(Seq.delta(0), cfg, 20) == inline
+
+
 def test_reproducibility_bitwise():
     cfg = SdeConfig(n=1, start=(TWO_PI, 4.0), seed=7, max_time=2000.0)
     s1 = estimate_T(Seq.delta(0), cfg, 800)
@@ -237,11 +297,15 @@ GOLDEN_GRID = OccupationGrid(x_min=math.pi, x_max=3 * math.pi,
                              y_min=0.5, y_max=4.5, nx=4, ny=4)
 
 
-def test_golden_occupation_bits():
+def test_golden_occupation_bits(monkeypatch):
     cfg = SdeConfig(n=1, start=(TWO_PI, 6.0), seed=11, max_time=2000.0)
-    rep = occupation_check(cfg, GOLDEN_GRID, 300)
-    assert _sha256(rep.observed, rep.std_error) == \
-        "9a650d13300cfaef1bde2dbc5af10b08defdd4bf64071d1f32b7b35a95bee9e3"
+    # the same bits with every flush inline and with the flush worker
+    for cpus in (1, 2):
+        with _cpus(monkeypatch, cpus) as forks:
+            rep = occupation_check(cfg, GOLDEN_GRID, 300)
+        assert _sha256(rep.observed, rep.std_error) == \
+            "9a650d13300cfaef1bde2dbc5af10b08defdd4bf64071d1f32b7b35a95bee9e3"
+        assert len(forks) == cpus - 1
 
 
 def _multichunk_digests():
@@ -264,8 +328,12 @@ GOLDEN_MULTICHUNK = (
 MULTICHUNK_SUMS_BEFORE = ("0x1.6aaecae51a812p-1", "0x1.c473be3e327d8p+2")
 
 
-def test_golden_multichunk_bits():
-    assert _multichunk_digests() == GOLDEN_MULTICHUNK
+def test_golden_multichunk_bits(monkeypatch):
+    # the same bits with every flush inline and with a flush worker per chunk
+    for cpus in (1, 2):
+        with _cpus(monkeypatch, cpus) as forks:
+            assert _multichunk_digests() == GOLDEN_MULTICHUNK
+        assert len(forks) == 2 * (cpus - 1)
     assert all(_ulps(a, b) <= 1
                for a, b in zip(GOLDEN_MULTICHUNK[2], MULTICHUNK_SUMS_BEFORE))
 
@@ -274,9 +342,12 @@ def test_golden_multichunk_bits():
 def test_batch_size_leaves_bits_unchanged(monkeypatch, batch):
     # a flush on every step, and batches below the 64-wide chunk that take
     # several steps of one path once the chunk thins out: each per-path sum
-    # must still receive its terms one by one, in step order
+    # must still receive its terms one by one, in step order, also when
+    # every flush crosses the pipe to the worker
     monkeypatch.setattr(mc, "_BATCH", batch)
-    assert _multichunk_digests() == GOLDEN_MULTICHUNK
+    for cpus in (1, 2):
+        with _cpus(monkeypatch, cpus):
+            assert _multichunk_digests() == GOLDEN_MULTICHUNK
 
 
 @pytest.mark.parametrize("n_paths", [96, 65])
@@ -513,6 +584,16 @@ def test_occupation_check_smoke():
     assert rep.frac_within_3 >= 0.85
     assert abs(rep.total_z) <= 3.0
     assert rep.chi2_z <= 4.0
+
+
+@pytest.mark.parametrize("paths", [2.5, "3", None])
+def test_paths_must_be_an_integer(paths):
+    # these used to raise TypeError from inside the run
+    cfg = SdeConfig(n=1, start=(TWO_PI, 6.0), seed=11)
+    with pytest.raises(ValueError, match="paths"):
+        estimate_T(Seq.delta(0), cfg, paths)
+    with pytest.raises(ValueError, match="paths"):
+        occupation_check(cfg, GOLDEN_GRID, paths)
 
 
 def test_occupation_check_needs_two_paths():

@@ -106,6 +106,16 @@ def test_catalan_series():
     assert b2 > 1.0 - 1.0 / 9.0          # k <= 1 lower bracket
 
 
+def test_catalan_and_davis_are_the_nearest_doubles():
+    # the series used to land one ulp above Catalan's constant
+    mp = pytest.importorskip("mpmath")
+    from dhtlab.weaktype import davis_constant
+    with mp.workdps(40):
+        assert catalan_beta2() == float(mp.catalan)
+        assert davis_constant() == float(mp.pi ** 2 / (8 * mp.catalan))
+    assert davis_constant().hex() == "0x1.58cd78cccd5b0p+0"
+
+
 def test_catalan_integral_cross_check():
     # beta(2) = -int_0^1 log(t)/(1+t^2) dt, an independent representation
     r = integrate(lambda t: -np.log(t) / (1.0 + t * t), 0.0, 1.0, 1e-12)
