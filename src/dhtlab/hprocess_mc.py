@@ -21,48 +21,47 @@ its buffers, normals, indices and flushes (``_simulate_chunk``), and
 below ``kill_eps`` within 5 ``kill_eps`` of the target abscissa.
 
 The path itself (drift, step, taming, draws, absorption) never reads h, and
-neither the functional nor the occupation binning changes the path, so the
-path state lives in flat path-step buffers of ``_BATCH + 2m`` entries for a
-chunk of m paths.  A step of w live paths reads their x, y at
-[fill, fill + w), writes their drift and chunk-local indices beside them,
-and writes their next x, y at [fill + w, fill + 2w), where the next step
-reads them.  Once the buffers hold ``_BATCH`` path-steps (and at the end of
-the chunk), one pass evaluates 1/h and grad log h (``halfplane.h_fields``),
-the functional and the occupation cells for the whole batch,
-``np.add.at`` adds the terms into the per-path sums, and the live state
-moves to the front of the next ring slot (below).  This spreads numpy's
-per-call cost, which dominates at the narrow widths most steps run at, over
-many steps.  Occupation runs skip h since they read neither.  The batching
-keeps every bit: the fields and the functional are elementwise, so a
-path-step's terms do not depend on the rest of its batch, and ``np.add.at``
-adds in index order, so each per-path sum receives the same terms in the
-same step order as adding them step by step.
+no consumer of the path (the functional or the occupation binning) changes
+it, so the path state lives in flat path-step buffers of ``_BATCH + 2m``
+entries for a chunk of m paths.  A run feeds one consumer.  A step of w
+live paths reads their x, y at [fill, fill + w), writes their drift,
+chunk-local indices and what the consumer reads beside them, and writes
+their next x, y at [fill + w, fill + 2w), where the next step reads them.
+Once the buffers hold ``_BATCH`` path-steps (and at the end of the chunk),
+one pass evaluates the consumer for the whole batch: 1/h and grad log h
+(``halfplane.h_fields``) and the functional, or the occupation cells, which
+read no h.  ``np.add.at`` adds the terms into the per-path sums, and the
+live state moves to the front of the next ring slot (below).  This spreads
+numpy's per-call cost, which dominates at the narrow widths most steps run
+at, over many steps.  The batching keeps every bit: the fields and the
+functional are elementwise, so a path-step's terms do not depend on the
+rest of its batch, and ``np.add.at`` adds in index order, so each per-path
+sum receives the same terms in the same step order as adding them step by
+step.
 
 The loop never reads what a flush writes, so with a second CPU the flushes
 run in a forked worker while the parent steps on (``_FlushQueue``).  Each
 chunk maps one shared anonymous region (``mmap``, MAP_SHARED) that holds
-the functional sums, the occupation bins and a ring of ``_SLOTS`` slots,
-each a copy of the buffers that the flush reads; an occupation run keeps
-x, y and the drift, which its flush never reads, in private arrays.  At a
-full batch the parent writes (slot, k) down a pipe, moves the live state to
-the front of the next slot and steps on.  The worker flushes slots strictly
-in the order it gets them and writes each one back once it is free, so
-every per-path sum still takes its terms in step order, and the parent
-waits only when its next slot is still queued.  The worker is forked at
-the chunk's first full batch, so a chunk that never fills one never forks;
-with fewer than two CPUs in the process's affinity (``taskset`` decides) or
-no ``os.fork``, the ring has one slot and every flush runs inline.  The
-worker runs only its job loop and leaves by ``os._exit``, never unwinding
-into the caller's stack.  When the chunk ends, by return or by raise, the
-parent closes the job pipe, the worker drains its queue and exits, and the
-parent reaps it; a worker that failed raises in the parent.  The worker
-calls elementwise ufuncs and ``np.add.at`` only, so it runs no BLAS and
-starts no threads.  Python 3.12 and later warn (DeprecationWarning) on a
-fork while numpy's BLAS threads exist; 3.11 does not.  The ring costs
-``_SLOTS`` x (_BATCH + 2m) x 8 bytes per buffer the flush reads (six for
-the functional, four for the occupation, nine for both): 1.6 MB for a
-1000-path functional chunk, 5.9 MB for 4096 paths and both; its pages are
-faulted in once per chunk, and unmapped when the chunk returns.
+the consumer's sums and a ring of ``_SLOTS`` slots, each a copy of the
+buffers that the step writes.  At a full batch the parent writes (slot, k)
+down a pipe, moves the live state to the front of the next slot and steps
+on.  The worker flushes slots strictly in the order it gets them and writes
+each one back once it is free, so every per-path sum still takes its terms
+in step order, and the parent waits only when its next slot is still
+queued.  The worker is forked at the chunk's first full batch, so a chunk
+that never fills one never forks; with fewer than two CPUs in the process's
+affinity (``taskset`` decides) or no ``os.fork``, the ring has one slot and
+every flush runs inline.  The worker runs only its job loop and leaves by
+``os._exit``, never unwinding into the caller's stack.  When the chunk
+ends, by return or by raise, the parent closes the job pipe, the worker
+drains its queue and exits, and the parent reaps it; a worker that failed
+raises in the parent.  The worker calls elementwise ufuncs and
+``np.add.at`` only, so it runs no BLAS and starts no threads.  Python 3.12
+and later warn (DeprecationWarning) on a fork while numpy's BLAS threads
+exist; 3.11 does not.  The ring costs ``_SLOTS`` x (_BATCH + 2m) x 8 bytes
+per buffer (six for the functional, eight for the occupation): 1.6 MB for a
+1000-path functional chunk and 2.1 MB for an occupation chunk; its pages
+are faulted in once per chunk, and unmapped when the chunk returns.
 
 A step also skips work that cannot change a bit:
 
@@ -78,6 +77,8 @@ A step also skips work that cannot change a bit:
   grows by dt_cap a step, and rounding is monotone, so it stays >= max t;
 - the absorption masks are built only when the step's lowest height is
   below ``kill_eps`` or NaN; that minimum is the next step's height bound.
+  A NaN height, from a drift that is not finite, raises ``ValueError``
+  there: such a path would never be absorbed or time out.
 
 Statistical acceptance is always "within 3 standard errors".
 """
@@ -111,7 +112,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
-# path-steps gathered before the functional and the occupation bins are
+# path-steps gathered before the functional or the occupation bins are
 # evaluated: enough to spread numpy's per-call cost over the narrow widths
 # most steps run at.  A chunk of m paths steps into ring slots of
 # _BATCH + 2m entries per buffer, in one mapping per chunk (see
@@ -121,8 +122,6 @@ _TWO_PI = 2.0 * math.pi
 _BATCH = 2048
 # ring slots, so batches queued for the flush worker at most
 _SLOTS = 8
-# the path-step buffers of a ring slot, in the order _simulate_chunk unpacks them
-_BUFFERS = ("x", "y", "bx", "by", "idx", "dtsum", "mx", "my", "dt")
 # pipe messages: (slot, path-steps) to the flush worker, a freed slot back
 _JOB = struct.Struct("=ii")
 _FREED = struct.Struct("=i")
@@ -389,76 +388,74 @@ class _FlushQueue:
             raise RuntimeError(f"the Monte Carlo flush worker exited with code {code}")
 
 
-def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
+def _simulate_chunk(cfg: SdeConfig, chunk: int, m: int, ms: np.ndarray | None,
                     grid: OccupationGrid | None):
     """Run paths 0..m-1 of chunk ``chunk`` on its own derived random stream.
 
-    The chunk owns all of its state (path-step buffers, normals, path
-    indices, flushes), so its results depend only on (ms, cfg, chunk, m,
-    grid).  Returns (comp, absorbed, lifetimes, end_x, end_y, occ) for its
-    m paths.
+    The run feeds one consumer: the functional at the support sites ``ms``,
+    or, with ``ms`` None, the occupation of ``grid``'s cells.  The chunk
+    owns all of its state (path-step buffers, normals, path indices,
+    flushes), so its results depend only on (cfg, chunk, m, ms, grid).
+    Returns (out, absorbed, lifetimes, end_x, end_y) for its m paths, where
+    out holds the functional sums, one row per site, or the time each path
+    spent in each cell, one row per path.
     """
-    n_support = len(ms)
-    # one broadcast over all sites; a single site stays one-dimensional,
-    # which costs less per numpy call at the small widths most steps run at
-    shifts = _TWO_PI * ms if n_support == 1 else (_TWO_PI * ms)[:, None]
     target = _TWO_PI * cfg.n
     window = 5.0 * cfg.kill_eps           # absorption half-width, see SdeConfig
     absorbed = np.zeros(m, dtype=bool)
     lifetimes = np.zeros(m)
     end_x = np.zeros(m)
     end_y = np.zeros(m)
-    if grid is not None:
-        wx = (grid.x_max - grid.x_min) / grid.nx
-        wy = (grid.y_max - grid.y_min) / grid.ny
 
     # path-step buffers, one flat array per quantity.  A step of w live
     # paths reads their states at [fill, fill + w), where the previous step
     # wrote them, and writes their next states at [fill + w, fill + 2w);
     # fill < _BATCH before a step, so _BATCH + 2m never overflows them.
-    # Each ring slot has its own copy of the buffers that the flush reads;
-    # they share one anonymous mapping (MAP_SHARED) with comp and occ, which
-    # the flush writes.  An occupation run's flush reads neither x, y nor
-    # the drift, so it keeps one private copy of those for every slot.
-    # dtsum holds dtk_prev + dtk, twice the trapezoidal weight
+    # Each ring slot has its own copy of the buffers that the step writes
+    # for the run's consumer; they share one anonymous mapping (MAP_SHARED)
+    # with out, which the flush writes.  dtsum holds dtk_prev + dtk, twice
+    # the trapezoidal weight; mx, my hold twice the step's midpoint
     cap = _BATCH + 2 * m
     n_slots = _ring_slots()
-    flushed = ((["x", "y", "bx", "by", "dtsum"] if n_support else []) + ["idx"]
-               + (["mx", "my", "dt"] if grid is not None else []))
-    n_comp, n_occ = n_support * m, (m * grid.cells if grid is not None else 0)
-    shared = np.frombuffer(mmap.mmap(-1, 8 * (n_comp + n_occ + n_slots * len(flushed) * cap)))
-    comp = shared[:n_comp].reshape(n_support, m)
-    occ = shared[n_comp:n_comp + n_occ].reshape(m, grid.cells) if grid is not None else None
-    ring = shared[n_comp + n_occ:].reshape(n_slots, len(flushed), cap)
-    private = {} if n_support else {name: np.empty(cap) for name in ("x", "y", "bx", "by")}
-    slots = []
-    for s in range(n_slots):
-        bufs = dict(zip(flushed, ring[s]), **private)
-        bufs["idx"] = bufs["idx"].view(np.int64)
-        slots.append(tuple(bufs.get(name) for name in _BUFFERS))
+    functional = ms is not None
+    names = ("x", "y", "bx", "by", "idx") + (("dtsum",) if functional else ("mx", "my", "dt"))
+    shape = (len(ms), m) if functional else (m, grid.cells)
+    n_out = shape[0] * shape[1]
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (n_out + n_slots * len(names) * cap)))
+    out = shared[:n_out].reshape(shape)
+    slots = [dict(zip(names, bufs), idx=bufs[4].view(np.int64))    # names[4] is idx
+             for bufs in shared[n_out:].reshape(n_slots, len(names), cap)]
 
-    def flush(slot, k):
-        x, y, bx, by, ib, dtsum, mx, my, dt = (None if b is None else b[:k]
-                                               for b in slots[slot])
-        if n_support:
+    if functional:
+        # one broadcast over all sites; a single site stays one-dimensional,
+        # which costs less per numpy call at the small widths most steps run at
+        shifts = _TWO_PI * ms if len(ms) == 1 else (_TWO_PI * ms)[:, None]
+
+        def flush(slot, k):
+            x, y, bx, by, ib, dtsum = (slots[slot][name][:k] for name in names)
             h_inv, glx, gly = h_fields(x, y)
             rows = _functional_rows(x, y, h_inv, glx, gly, bx, by, shifts)
             # trapezoidal time rule: each state's integrand carries half
             # of the two adjacent step lengths, which centres the rule
             # and removes the leading step-size error of the integral
-            rows = np.reshape(rows * (0.5 * dtsum), (n_support, k))
+            rows = np.reshape(rows * (0.5 * dtsum), (len(ms), k))
             # np.add.at adds in index order, so each sum takes its terms in
             # step order; a call per site row is far cheaper than one 2-D call
-            for row, vals in zip(comp, rows):
+            for row, vals in zip(out, rows):
                 np.add.at(row, ib, vals)
-        if occ is not None:
+    else:
+        wx = (grid.x_max - grid.x_min) / grid.nx
+        wy = (grid.y_max - grid.y_min) / grid.ny
+
+        def flush(slot, k):
+            ib, mx, my, dt = (slots[slot][name][:k] for name in names[4:])
             # midpoint attribution of the step's time (left-point binning
             # systematically shifts occupation opposite to the motion)
             ix = np.floor((0.5 * mx - grid.x_min) / wx).astype(np.int64)
             iy = np.floor((0.5 * my - grid.y_min) / wy).astype(np.int64)
             inside = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
             flat = ib * grid.cells + iy * grid.nx + ix
-            np.add.at(occ.reshape(-1), flat[inside], dt[inside])
+            np.add.at(out.reshape(-1), flat[inside], dt[inside])
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=cfg.seed, spawn_key=(chunk,)))
@@ -471,16 +468,15 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
     used = len(pool)
     idx = np.arange(m)
     slot = 0
-    buf_x, buf_y, buf_bx, buf_by, buf_idx, buf_dtsum, buf_mx, buf_my, buf_dt = slots[slot]
-    buf_x[:m] = cfg.start[0]
-    buf_y[:m] = cfg.start[1]
+    buf = slots[slot]
+    buf["x"][:m] = cfg.start[0]
+    buf["y"][:m] = cfg.start[1]
     t = np.zeros(m)
     # an upper bound on max(t): no step is longer than dt_cap, and rounding
     # is monotone, so t >= max_time needs testing only once t_hi gets there
-    # (fmax skips a NaN time, which never passes that test)
     t_hi = 0.0
-    # a lower bound on the live heights, or NaN: while it exceeds the calm
-    # height, a step skips _tame, whose screen would pass
+    # a lower bound on the live heights: while it exceeds the calm height,
+    # a step skips _tame, whose screen would pass
     y_lo = cfg.start[1]
     y_calm = _calm_height(cfg)
     dtk_prev = np.zeros(m)
@@ -489,13 +485,11 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
     with _FlushQueue(flush, n_slots) as flushes:
         while w:
             end = fill + w
-            x, y = buf_x[fill:end], buf_y[fill:end]
-            x_new, y_new = buf_x[end:end + w], buf_y[end:end + w]
+            x, y = buf["x"][fill:end], buf["y"][fill:end]
+            x_new, y_new = buf["x"][end:end + w], buf["y"][end:end + w]
             dtk = np.minimum(np.maximum(step_scale * y * y, dt), dt_cap)
-            bx, by = drift_field(cfg, x, y, out=(buf_bx[fill:end], buf_by[fill:end]))
-            buf_idx[fill:end] = idx
-            if n_support:
-                np.add(dtk_prev, dtk, out=buf_dtsum[fill:end])
+            bx, by = drift_field(cfg, x, y, out=(buf["bx"][fill:end], buf["by"][fill:end]))
+            buf["idx"][fill:end] = idx
             # bound the drift displacement by twice the noise scale: far from
             # the boundary pole this is the identity (no taming bias), near
             # the pole it keeps single steps finite like standard taming
@@ -512,18 +506,24 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
             x_new += root * xi[0::2]
             np.add(y, by * tame, out=y_new)
             y_new += root * xi[1::2]
-            if occ is not None:
-                np.add(x, x_new, out=buf_mx[fill:end])
-                np.add(y, y_new, out=buf_my[fill:end])
-                buf_dt[fill:end] = dtk
+            if functional:
+                np.add(dtk_prev, dtk, out=buf["dtsum"][fill:end])
+            else:
+                np.add(x, x_new, out=buf["mx"][fill:end])
+                np.add(y, y_new, out=buf["my"][fill:end])
+                buf["dt"][fill:end] = dtk
             t += dtk
             t_hi += cfg.dt_cap
 
-            # only a path below kill_eps can be absorbed or need reflecting; a
-            # NaN height makes y_lo NaN, and the masks skip it as before
+            # only a path below kill_eps can be absorbed or need reflecting;
+            # a NaN height (a drift that is not finite) would never be
+            # absorbed or time out, so it ends the run
             absorb_now = None
             y_lo = np.minimum.reduce(y_new)
             if not y_lo >= cfg.kill_eps:
+                if math.isnan(y_lo):
+                    raise ValueError(f"a path from start {cfg.start} reached a NaN "
+                                     "height: the drift is not finite along it")
                 absorb_now = y_new < cfg.kill_eps
                 absorb_now &= np.abs(x_new - target) < window
                 reflect = (y_new <= 0.0) & ~absorb_now
@@ -546,48 +546,39 @@ def _simulate_chunk(ms: np.ndarray, cfg: SdeConfig, chunk: int, m: int,
                 keep = ~done
                 idx, t, dtk = idx[keep], t[keep], dtk[keep]
                 w = len(idx)
-                buf_x[end:end + w] = x_new[keep]
-                buf_y[end:end + w] = y_new[keep]
+                buf["x"][end:end + w] = x_new[keep]
+                buf["y"][end:end + w] = y_new[keep]
             dtk_prev = dtk
             fill = end
             if fill >= _BATCH:
                 # the live states move to the front of the next free slot
                 slot = flushes.hand_off(slot, fill)
-                live_x, live_y = buf_x[fill:fill + w], buf_y[fill:fill + w]
-                (buf_x, buf_y, buf_bx, buf_by, buf_idx, buf_dtsum,
-                 buf_mx, buf_my, buf_dt) = slots[slot]
-                buf_x[:w] = live_x
-                buf_y[:w] = live_y
+                live = buf["x"][fill:fill + w], buf["y"][fill:fill + w]
+                buf = slots[slot]
+                buf["x"][:w], buf["y"][:w] = live
                 fill = 0
         if fill:
             flushes.finish(slot, fill)
-    # copies, so that the returned arrays do not hold the ring's mapping
-    return (comp.copy(), absorbed, lifetimes, end_x, end_y,
-            occ.copy() if occ is not None else None)
+    # a copy, so that the returned array does not hold the ring's mapping
+    return out.copy(), absorbed, lifetimes, end_x, end_y
 
 
-def _simulate(a: Seq | None, cfg: SdeConfig, n_paths: int, *,
+def _simulate(cfg: SdeConfig, n_paths: int, *, ms: np.ndarray | None = None,
               grid: OccupationGrid | None = None, chunk_size: int = 4096):
     """Vectorized path engine: chunks of ``chunk_size`` paths, joined in order.
 
-    Returns (component_sums, ms, absorbed, lifetimes, end_xy, occupation)
-    where component_sums has one row per support site ``ms`` of ``a`` (so the
-    functional is linear in the coefficients by construction), and
-    occupation is the per-path time spent in each grid cell (or None).
+    A run feeds one consumer: the functional at the support sites ``ms``,
+    or, with ``ms`` None, the occupation of ``grid``.  Returns (out,
+    absorbed, lifetimes, end_xy), where out holds the functional sums, one
+    row per site of ``ms`` (so the functional is linear in the coefficients
+    by construction), or the per-path time spent in each grid cell, one row
+    per path.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths >= 1 required")
-    at = a.trimmed() if a is not None else None
-    if at is None or at.is_zero():
-        ms = np.zeros(0, dtype=int)
-    else:
-        ms = np.arange(at.support[0], at.support[1] + 1)
-    chunks = [_simulate_chunk(ms, cfg, c, min(chunk_size, n_paths - start), grid)
+    chunks = [_simulate_chunk(cfg, c, min(chunk_size, n_paths - start), ms, grid)
               for c, start in enumerate(range(0, n_paths, chunk_size))]
-    comp, absorbed, lifetimes, end_x, end_y, occ = zip(*chunks)
-    return (np.concatenate(comp, axis=1), ms, np.concatenate(absorbed),
-            np.concatenate(lifetimes), (np.concatenate(end_x), np.concatenate(end_y)),
-            np.concatenate(occ) if grid is not None else None)
+    out, absorbed, lifetimes, end_x, end_y = zip(*chunks)
+    return (np.concatenate(out, axis=0 if ms is None else 1), np.concatenate(absorbed),
+            np.concatenate(lifetimes), (np.concatenate(end_x), np.concatenate(end_y)))
 
 
 def estimate_T(a: Seq, cfg: SdeConfig, paths: int) -> PathStats:
@@ -598,10 +589,12 @@ def estimate_T(a: Seq, cfg: SdeConfig, paths: int) -> PathStats:
     per-site time integrals are accumulated separately and combined at the
     end), so scaling ``a`` scales the estimate with no extra rounding.
     """
-    check_integer("paths", paths)
-    comp, ms, absorbed, _, _, _ = _simulate(a, cfg, paths)
-    coef = np.array([a[int(m)] for m in ms])
-    samples = coef @ comp if len(ms) else np.zeros(paths)
+    if check_integer("paths", paths) < 1:
+        raise ValueError("estimate_T needs paths >= 1")
+    lo, hi = a.trimmed().support
+    ms = np.arange(lo, hi + 1)
+    comp, absorbed, _, _ = _simulate(cfg, paths, ms=ms)
+    samples = np.array([a[int(m)] for m in ms]) @ comp
     mean = float(np.mean(samples))
     se = float(np.std(samples, ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return PathStats(mean=mean, std_error=se, paths=paths,
@@ -659,7 +652,7 @@ def occupation_check(cfg: SdeConfig, grid: OccupationGrid,
     """
     if check_integer("paths", paths) < 2:
         raise ValueError("occupation_check needs paths >= 2 for a standard error")
-    _, _, absorbed, _, _, occ = _simulate(None, cfg, paths, grid=grid)
+    occ, absorbed, _, _ = _simulate(cfg, paths, grid=grid)
     total_se = float(np.std(occ.sum(axis=1), ddof=1) / math.sqrt(paths))
     if not total_se > 0:
         raise ValueError("every path spent the same time in every cell of the "

@@ -28,3 +28,19 @@ def no_child_process_left():
         return
     pytest.fail("the test left a child process running" if pid == 0
                 else f"the test left child process {pid} unreaped")
+
+
+@pytest.fixture(autouse=True)
+def no_file_descriptor_left():
+    """Fail a test that leaves more file descriptors open than it found (the
+    pipes of the Monte Carlo flush worker, for one, must be closed when its
+    chunk ends).  Where /proc is missing the check is skipped."""
+    fds = "/proc/self/fd"
+    if not os.path.isdir(fds):
+        yield
+        return
+    before = len(os.listdir(fds))
+    yield
+    left = len(os.listdir(fds)) - before
+    if left > 0:
+        pytest.fail(f"the test left {left} more file descriptor(s) open")

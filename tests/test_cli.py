@@ -161,6 +161,7 @@ def test_mc_heavy_gate(capsys):
     ["--mode", "occupation", "--paths", "2", "--max-time", "0.001"],  # no spread
     ["--max-time", "inf"],                        # a path may never retire
     ["--kill-eps", "inf"],                        # every path absorbed at once
+    ["--y0", "1e-170", "--paths", "3", "--max-time", "10"],  # drift not finite
 ])
 def test_mc_bad_input_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:

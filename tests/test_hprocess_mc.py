@@ -174,10 +174,7 @@ def test_golden_taming_bits(monkeypatch):
     monkeypatch.setattr(mc, "_tame", counting_tame)
     cfg = SdeConfig(n=1, start=(TWO_PI + 2.0, 0.02), seed=5, max_time=50.0)
     grid = OccupationGrid(TWO_PI - 3.0, TWO_PI + 3.0, 0.01, 3.0, 4, 4)
-    comp, ms, absorbed, life, (ex, ey), occ = _simulate(
-        Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 64, grid=grid, chunk_size=40)
-    assert (_sha256(ms, absorbed, life, ex, ey, occ), _sha256(comp),
-            tuple(v.hex() for v in comp.sum(axis=1))) == TAMING_GOLDEN
+    assert _digests(cfg, 64, grid, chunk_size=40) == TAMING_GOLDEN
     assert len(hypot_calls) >= 1 and sum(tamed_steps) >= 1
 
 
@@ -238,6 +235,26 @@ def test_reproducibility_bitwise():
     assert s1 == s2
 
 
+def _path_digest(run):
+    """The digest of a run's absorption flags, lifetimes and end points."""
+    _, absorbed, life, (ex, ey) = run
+    return _sha256(absorbed, life, ex, ey)
+
+
+def _digests(cfg, n_paths, grid, chunk_size):
+    """The functional at sites -1 and 0 and the occupation of ``grid``, in
+    two runs of the same paths: the paths' digest (sites, absorption,
+    lifetimes, end points and occupation), the functional's digest and its
+    per-site sums."""
+    ms = np.arange(-1, 1)
+    functional = _simulate(cfg, n_paths, ms=ms, chunk_size=chunk_size)
+    occupation = _simulate(cfg, n_paths, grid=grid, chunk_size=chunk_size)
+    assert _path_digest(functional) == _path_digest(occupation)
+    comp, absorbed, life, (ex, ey) = functional
+    return (_sha256(ms, absorbed, life, ex, ey, occupation[0]), _sha256(comp),
+            tuple(v.hex() for v in comp.sum(axis=1)))
+
+
 def _sha256(*arrays):
     digest = hashlib.sha256()
     for arr in arrays:
@@ -285,7 +302,7 @@ def test_golden_estimate_T_bits():
 
 def test_golden_simulate_path_bits():
     cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=3, max_time=2000.0)
-    comp, _, absorbed, life, (ex, ey), _ = _simulate(Seq.delta(0), cfg, 1)
+    comp, absorbed, life, (ex, ey) = _simulate(cfg, 1, ms=np.arange(1))
     assert (bool(absorbed[0]), life[0].hex(), ex[0].hex(), ey[0].hex()) == (
         True, "0x1.08a71c2b6b5c7p+5", "0x1.93584ca4d6ac4p+2", "0x1.06353ec5da9d0p-6")
     value, before = "0x1.f853ee0bfc062p-3", "0x1.f853ee0bfc05dp-3"
@@ -308,15 +325,13 @@ def test_golden_occupation_bits(monkeypatch):
         assert len(forks) == cpus - 1
 
 
+MULTICHUNK_CFG = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=300.0)
+
+
 def _multichunk_digests():
     # 96 paths in chunks of 64: a full and a partial chunk, each on its own
-    # derived stream, with the functional and the occupation in one pass
-    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=300.0)
-    comp, ms, absorbed, life, (ex, ey), occ = _simulate(
-        Seq.from_dict({0: 1.0, -1: -1.0}), cfg, 96, grid=GOLDEN_GRID,
-        chunk_size=64)
-    return (_sha256(ms, absorbed, life, ex, ey, occ), _sha256(comp),
-            tuple(v.hex() for v in comp.sum(axis=1)))
+    # derived stream, once for the functional and once for the occupation
+    return _digests(MULTICHUNK_CFG, 96, GOLDEN_GRID, chunk_size=64)
 
 
 GOLDEN_MULTICHUNK = (
@@ -333,7 +348,7 @@ def test_golden_multichunk_bits(monkeypatch):
     for cpus in (1, 2):
         with _cpus(monkeypatch, cpus) as forks:
             assert _multichunk_digests() == GOLDEN_MULTICHUNK
-        assert len(forks) == 2 * (cpus - 1)
+        assert len(forks) == 4 * (cpus - 1)
     assert all(_ulps(a, b) <= 1
                for a, b in zip(GOLDEN_MULTICHUNK[2], MULTICHUNK_SUMS_BEFORE))
 
@@ -353,17 +368,69 @@ def test_batch_size_leaves_bits_unchanged(monkeypatch, batch):
 @pytest.mark.parametrize("n_paths", [96, 65])
 def test_chunks_are_independent(n_paths):
     # a run is its chunks run alone and joined in order: a full and a
-    # partial chunk, and a last chunk one path wide
-    cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, max_time=300.0)
-    a = Seq.from_dict({0: 1.0, -1: -1.0})
-    comp, ms, absorbed, life, (ex, ey), occ = _simulate(
-        a, cfg, n_paths, grid=GOLDEN_GRID, chunk_size=64)
-    parts = [_simulate_chunk(ms, cfg, 0, 64, GOLDEN_GRID),
-             _simulate_chunk(ms, cfg, 1, n_paths - 64, GOLDEN_GRID)]
-    joined = [np.concatenate([p[i] for p in parts], axis=-1 if i == 0 else 0)
-              for i in range(6)]
-    for got, want in zip((comp, absorbed, life, ex, ey, occ), joined):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # partial chunk, and a last chunk one path wide; the functional's sums
+    # have one column per path, the occupation's one row
+    for ms, grid in ((np.arange(-1, 1), None), (None, GOLDEN_GRID)):
+        out, absorbed, life, (ex, ey) = _simulate(MULTICHUNK_CFG, n_paths, ms=ms,
+                                                  grid=grid, chunk_size=64)
+        parts = [_simulate_chunk(MULTICHUNK_CFG, 0, 64, ms, grid),
+                 _simulate_chunk(MULTICHUNK_CFG, 1, n_paths - 64, ms, grid)]
+        joined = [np.concatenate([p[i] for p in parts], axis=1 if i == 0 and grid is None else 0)
+                  for i in range(5)]
+        for got, want in zip((out, absorbed, life, ex, ey), joined):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_both_consumers_run_the_same_paths(monkeypatch, cpus):
+    # no flush changes a path, so the functional (with two sites or none)
+    # and the occupation see the same paths, bit for bit, with every flush
+    # inline and with the flush worker; 50 time units leave both absorbed
+    # paths and timeouts
+    cfg = replace(MULTICHUNK_CFG, max_time=50.0)
+    with _cpus(monkeypatch, cpus) as forks:
+        runs = [_simulate(cfg, 96, ms=ms, chunk_size=64)
+                for ms in (np.arange(-1, 1), np.arange(0))]
+        runs.append(_simulate(cfg, 96, grid=GOLDEN_GRID, chunk_size=64))
+    assert len(forks) == 6 * (cpus - 1)
+    assert 0 < np.count_nonzero(runs[0][1]) < 96
+    assert len({_path_digest(run) for run in runs}) == 1
+
+
+@pytest.mark.parametrize("start", [(TWO_PI, 1e-170), (0.0, 1e-310)])
+def test_a_start_whose_drift_is_not_finite_raises(monkeypatch, start):
+    # at the target r^2 underflows to 0, or 1/y overflows: the drift is not
+    # finite and the height turns NaN.  A NaN path is never absorbed and
+    # never times out, so the run used to loop without end
+    cfg = SdeConfig(n=1, start=start, max_time=10.0)
+    for cpus in (1, 2):
+        with _cpus(monkeypatch, cpus), np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="NaN height"):
+                estimate_T(Seq.delta(0), cfg, 3)
+            with pytest.raises(ValueError, match="NaN height"):
+                occupation_check(cfg, GOLDEN_GRID, 3)
+
+
+def test_a_nan_height_raises_after_the_worker_started(monkeypatch):
+    # the starts above turn NaN on the first step, before any batch is
+    # full; here a height turns NaN on the fourth step, after the worker
+    # has been forked, and the conftest checks that it is reaped
+    real, calls = mc.drift_field, []
+
+    def nan_from_the_fourth_step(cfg, x, y, out):
+        calls.append(len(x))
+        bx, by = real(cfg, x, y, out=out)
+        if len(calls) % 4 == 0:
+            by[0] = math.nan
+        return bx, by
+
+    monkeypatch.setattr(mc, "_BATCH", 1)
+    monkeypatch.setattr(mc, "drift_field", nan_from_the_fourth_step)
+    for consumer in (dict(ms=np.arange(1)), dict(grid=GOLDEN_GRID)):
+        with _cpus(monkeypatch, 2) as forks:
+            with pytest.raises(ValueError, match="NaN height"):
+                _simulate(MULTICHUNK_CFG, 8, **consumer)
+        assert len(forks) == 1
 
 
 def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
@@ -377,20 +444,22 @@ def test_drift_field_called_once_per_step_at_live_width(monkeypatch):
 
     monkeypatch.setattr(mc, "drift_field", counting)
     assert _multichunk_digests() == GOLDEN_MULTICHUNK
-    # each chunk opens at its full width and only loses paths
+    # two runs of two chunks; each chunk opens at its full width and only
+    # loses paths
     rises = np.flatnonzero(np.diff(widths) > 0)
-    assert widths[0] == 64 and len(rises) == 1 and widths[rises[0] + 1] == 32
+    assert widths[0] == 64 and [widths[i + 1] for i in rises] == [32, 64, 32]
 
     # a fixed step and no absorption: every path lives the same number of
     # steps, so the call count and widths are known exactly
-    widths.clear()
     cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=7, dt=1e-4, dt_cap=1e-4,
                     max_time=0.05)
     steps, t = 0, 0.0
     while t < cfg.max_time:
         t, steps = t + cfg.dt, steps + 1
-    _simulate(None, cfg, 96, grid=GOLDEN_GRID, chunk_size=64)
-    assert widths == [64] * steps + [32] * steps
+    for consumer in (dict(ms=np.arange(1)), dict(grid=GOLDEN_GRID)):
+        widths.clear()
+        _simulate(cfg, 96, chunk_size=64, **consumer)
+        assert widths == [64] * steps + [32] * steps
 
 
 H_POINTS = [(0.3, 0.5), (2.0, 0.9), (1.0, 1.0), (3.0, 1.0 + EPS), (-2.5, 1.5),
@@ -486,7 +555,7 @@ def test_n0_functional_is_pointwise_zero():
 
 def test_single_path_sample():
     cfg = SdeConfig(n=1, start=(TWO_PI, 3.0), seed=3, max_time=3000.0)
-    comp, _, absorbed, life, (ex, ey), _ = _simulate(Seq.delta(0), cfg, 1)
+    comp, absorbed, life, (ex, ey) = _simulate(cfg, 1, ms=np.arange(1))
     assert math.isfinite(comp[0, 0])
     assert absorbed[0]
     assert life[0] > 0
@@ -584,6 +653,12 @@ def test_occupation_check_smoke():
     assert rep.frac_within_3 >= 0.85
     assert abs(rep.total_z) <= 3.0
     assert rep.chi2_z <= 4.0
+
+
+def test_estimate_T_needs_a_path():
+    cfg = SdeConfig(n=1, start=(TWO_PI, 6.0), seed=11)
+    with pytest.raises(ValueError, match="estimate_T needs paths >= 1"):
+        estimate_T(Seq.delta(0), cfg, 0)
 
 
 @pytest.mark.parametrize("paths", [2.5, "3", None])
