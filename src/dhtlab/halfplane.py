@@ -5,7 +5,8 @@ p_n is the harmonic exit density at 2 pi n, h = sum_n p_n
 of -Laplace/2.  These are the one implementation of each: the deterministic
 identities and the Monte Carlo side both call them.  Every function is
 elementwise over numpy arrays (or scalars), so a point's bits do not depend
-on the other points of the batch.
+on the other points of the batch.  Squares are products: a scalar ``**``
+is libm's pow, which can miss an array's exact square by an ulp.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ def green_G(x, y, x0, y0):
     Raises ValueError if any point sits at the pole, where the squared
     distance to it is zero.
     """
-    dx2 = (x - x0) ** 2
-    r2 = dx2 + (y - y0) ** 2
+    dx = x - x0
+    dx2 = dx * dx
+    below, above = y - y0, y + y0
+    r2 = dx2 + below * below
     if not np.all(r2):
         raise ValueError("Green function evaluated at its pole")
-    return np.log((dx2 + (y + y0) ** 2) / r2) / _TWO_PI
+    return np.log((dx2 + above * above) / r2) / _TWO_PI
 
 
 def h_fields(x, y):

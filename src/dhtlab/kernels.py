@@ -7,7 +7,7 @@ rational closed form.  Every entry formula, literal table and moment lives in
 ``dhtlab.kernel_entries``; this module evaluates them on int64 arrays and
 attaches the bars.
 
-J, F and E are evaluated once per |n| and mirrored by parity, so K_-n equals
+J, F and E are evaluated at |n| and mirrored by parity, so K_-n equals
 +-K_n bit for bit, and each value comes with its error bar: half an ulp for
 the literals below |n| = N0, whose value is the double nearest the integral,
 and the series' own bound from N0 on.
@@ -48,25 +48,15 @@ def _half_ulp(vals):
 
 def _literal_or_series(ns, literals, series):
     """Values and bars at m = |n|: literals[m] with its half-ulp bar for
-    m < N0, series(ms) from N0 on, each distinct m evaluated once.
-
-    When the m span no more values than there are indices, as in every
-    window read, that whole range is evaluated and gathered from without a
-    sort; sparse index sets (``[1, 2**62]``) go through ``np.unique``.  An
-    entry's bits depend on its m alone, so both give the same values.
-    """
+    m < N0, series(m) from N0 on.  An entry's bits depend on its m alone."""
     m = np.abs(ns)
-    if m.size and (hi := int(m.max())) - (lo := int(m.min())) < m.size:
-        ms, inv = lo + np.arange(hi - lo + 1), m - lo      # hi + 1 may pass int64
-    else:
-        ms, inv = np.unique(m, return_inverse=True)
-    vals = np.empty(len(ms))
-    errs = np.empty(len(ms))
-    small = ms < N0
-    vals[small] = np.asarray(literals)[ms[small]]
+    vals = np.empty(len(m))
+    errs = np.empty(len(m))
+    small = m < N0
+    vals[small] = np.asarray(literals)[m[small]]
     errs[small] = _half_ulp(vals[small])
-    vals[~small], errs[~small] = series(ms[~small])
-    return vals[inv], errs[inv]
+    vals[~small], errs[~small] = series(m[~small])
+    return vals, errs
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,7 +160,7 @@ def _closed_batch(name):
 
 def _series_batch(name):
     """The batch generator of J, F or E: literals below N0, the series from
-    N0 on, once per |n|, mirrored by parity."""
+    N0 on, at |n|, mirrored by parity."""
     literals, series, odd = LITERALS[name], SERIES[name], PARITY[name] == "odd"
 
     def batch(ns):

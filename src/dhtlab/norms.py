@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dhtlab.numerics import Exponent
+from dhtlab.numerics import Exponent, check_integer
 from dhtlab.seqops import ConvOperator, Seq, lp_norm
 
 __all__ = [
@@ -231,7 +231,7 @@ def estimate_norm(op: ConvOperator, e: Exponent, max_iter: int = 500,
     not an error, and a non-finite intermediate (a NaN kernel entry, say)
     raises ValueError.
     """
-    if max_iter < 1:
+    if check_integer("max_iter", max_iter) < 1:
         raise ValueError("max_iter >= 1 required")
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -271,7 +271,7 @@ def norm_sweep(op_kernel, e: Exponent, radii, seed: int = 0,
     """
     out = []
     for r in radii:
-        op = ConvOperator(op_kernel, int(r))
+        op = ConvOperator(op_kernel, check_integer("radius", r))
         out.append(estimate_norm(op, e, max_iter=max_iter, tol=tol, seed=seed))
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from dhtlab.kernels import Kernel
-from dhtlab.numerics import catalan_beta2
+from dhtlab.numerics import catalan_beta2, check_integer
 from dhtlab.seqops import Seq, convolve
 
 __all__ = [
@@ -194,9 +194,9 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
     reports are those of ``weak_ratio`` on ``k`` itself.  A non-finite entry
     that a candidate reads raises ``ValueError`` (see ``weak_ratio``).
     """
-    if budget < 1:
+    if check_integer("budget", budget) < 1:
         raise ValueError("budget >= 1 required")
-    if window < 1:
+    if check_integer("window", window) < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     # the largest support radius of the family's candidates (a bump's
     # nonzero samples have |n| < 1/eps <= window / 4)

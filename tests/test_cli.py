@@ -163,11 +163,13 @@ def test_mc_heavy_gate(capsys):
     ["--kill-eps", "inf"],                        # every path absorbed at once
     ["--y0", "1e-170", "--paths", "3", "--max-time", "10"],  # drift not finite
 ])
-def test_mc_bad_input_usage_error(capsys, argv):
+def test_mc_bad_input_usage_error(capsys, recwarn, argv):
     with pytest.raises(SystemExit) as exc:
         main(["mc", *argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+    # outside pytest a numpy warning would print to stderr beside the error
+    assert [str(w.message) for w in recwarn if w.category is RuntimeWarning] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,10 +6,11 @@ check); ``os._exit``, a documented public function whose name starts with an
 underscore, is the one exception.  ``hprocess_mc`` imports neither
 ``identities`` nor ``kernels``: the Monte Carlo engine reads the half-plane
 fields from ``halfplane`` alone.
-Every name in a module's ``__all__`` exists (checked on the imported module,
-so the names ``dhtlab`` resolves on first use count).  ``kernel_entries``
-is the one registry of kernel facts, and ``kernels`` builds one kernel per
-entry.
+Every name in a module's ``__all__`` exists (checked on the imported
+module).  ``kernel_entries`` is the one registry of kernel facts, and
+``kernels`` builds one kernel per entry.  ``halfplane`` holds no ``**``:
+numpy squares an array exactly but raises a scalar to a power with libm's
+pow, so a power would make a point's bits depend on its batch.
 """
 
 import ast
@@ -89,6 +90,20 @@ def test_checker_sees_each_breach(module, source):
 def test_checker_passes_os_exit_only():
     assert _violations("hprocess_mc", "import os\nos._exit(0)") == []
     assert len(_violations("hprocess_mc", "import os\nos._exit_hook(0)")) == 1
+
+
+def _powers(source: str) -> list[int]:
+    """The line of each ``**`` in ``source``, ``**=`` included."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(getattr(node, "op", None), ast.Pow)]
+
+
+def test_halfplane_squares_by_products():
+    assert _powers((SRC / "halfplane.py").read_text()) == []
+
+
+def test_power_check_sees_a_square():
+    assert _powers("r2 = dx2 + (y - y0) ** 2\n") == [1]
 
 
 def _stale_exports(module) -> list[str]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dhtlab.halfplane import green_G, grad_poisson, h_fields, poisson_p
+from dhtlab.hprocess_mc import SdeConfig, drift_field
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps
@@ -15,6 +16,7 @@ POINTS = [(0.0, 1e-6), (TWO_PI, 1e-6), (-3 * TWO_PI, 1e-6), (TWO_PI + 1e-7, 1e-6
 POINTS += [(x, y) for y in (0.5, 20.0, 40.0, 700.0)
            for x in (0.3, math.pi / 2 - 0.05, 2.0)]
 POLE = (1.0, 2.0)
+DRIFT_CFG = SdeConfig(n=1, start=(TWO_PI, 1.0))
 
 
 @pytest.mark.parametrize("x, y", POINTS)
@@ -69,3 +71,45 @@ def test_potentials_against_mpmath(x, y):
 def test_green_G_rejects_a_batch_with_a_point_at_its_pole():
     with pytest.raises(ValueError):
         green_G(np.array([0.5, 1.0]), 2.0, 1.0, 2.0)
+
+
+# each elementwise field of the half-plane, as a function of (x, y)
+FIELDS = {
+    "poisson_p": lambda x, y: poisson_p(-2, x, y),
+    "grad_poisson": lambda x, y: grad_poisson(1, x, y),
+    "green_G": lambda x, y: green_G(x, y, *POLE),
+    "h_fields": h_fields,
+    "drift_field": lambda x, y: drift_field(DRIFT_CFG, x, y),
+}
+
+
+def _batch_points():
+    """20 000 points: random ones, ones beside the lattice poles (2 pi k, 0)
+    and ones beside the Green function's pole."""
+    rng = np.random.default_rng(18)
+    x = [rng.uniform(-20.0, 20.0, 14000)]
+    y = [np.exp(rng.uniform(math.log(1e-3), math.log(50.0), 14000))]
+    offsets = np.exp(rng.uniform(math.log(1e-9), math.log(1e-2), (2, 6000)))
+    signs = rng.choice([-1.0, 1.0], (2, 6000))
+    x.append(TWO_PI * rng.integers(-2, 3, 3000) + (signs * offsets)[0, :3000])
+    y.append(offsets[1, :3000])
+    x.append(POLE[0] + (signs * offsets)[0, 3000:])
+    y.append(POLE[1] + (signs * offsets)[1, 3000:])
+    return np.concatenate(x), np.concatenate(y)
+
+
+def _bits(values, n):
+    """The values of n points, one row per output of the field, as int64."""
+    return np.asarray(values, dtype=float).reshape(n, -1).T.view(np.int64)
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_a_points_bits_do_not_depend_on_its_batch(name):
+    # a Python float call, a numpy float64 scalar call and the same point
+    # inside a batch give the same bits
+    f, (x, y) = FIELDS[name], _batch_points()
+    batch = np.asarray(f(x, y), dtype=float).reshape(-1, len(x)).view(np.int64)
+    for calls in ([f(a, b) for a, b in zip(x.tolist(), y.tolist())],
+                  [f(a, b) for a, b in zip(x, y)]):
+        differ = np.flatnonzero(np.any(_bits(calls, len(x)) != batch, axis=0))
+        assert list(zip(x[differ[:5]], y[differ[:5]])) == [], f"{differ.size} points differ"

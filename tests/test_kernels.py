@@ -190,8 +190,7 @@ def test_read_is_one_evaluation_into_a_read_only_window(orig):
 
 @pytest.mark.parametrize("kernel", [K.J, K.F, K.E], ids=["J", "F", "E"])
 def test_evaluate_any_index_set_equals_per_index_reads(kernel):
-    # dense ranges gather from one |n| range, sparse sets go through a
-    # sort; either way each entry has the bits of reading it alone
+    # each entry has the bits of reading it alone
     rng = np.random.default_rng(11)
     cases = [[5, -3, 5, 0, -40, 40, 33, -31, 32, 5],
              rng.permutation(np.arange(-60, 61)),

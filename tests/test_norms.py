@@ -170,6 +170,14 @@ def test_sweep_monotone_and_bounded():
     assert vals[0] < vals[1] < vals[2]
 
 
+@pytest.mark.parametrize("kwargs", [dict(radii=[8.7]), dict(radii=[8], max_iter=2.5)],
+                         ids=["radius", "max_iter"])
+def test_sweep_integer_arguments_fail_loudly(kwargs):
+    # int(8.7) used to run N = 8 silently, and max_iter=2.5 met range()
+    with pytest.raises(ValueError, match="must be an integer"):
+        norm_sweep(K.HILBERT, P4, **kwargs)
+
+
 def test_estimate_validates_arguments():
     op = ConvOperator(K.HILBERT, 8)
     with pytest.raises(ValueError):

@@ -323,7 +323,7 @@ def test_kernel_dumps_do_not_import_scipy():
 def test_kernel_dumps_do_not_import_numpy():
     # a dump reads dhtlab.kernel_entries alone: all seven kernels, from the
     # literals and the series, in both formats, load no numpy; nor does a
-    # bare `import dhtlab`, whose numerics names still import on first use
+    # bare `import dhtlab`
     runs = [["kernels", "--kernel", k, "--radius", r, "--format", f]
             for k in ("H", "RT", "K", "ADP", "J", "F", "E")
             for r in ("10", "5000") for f in ("csv", "json")]
@@ -334,11 +334,8 @@ def test_kernel_dumps_do_not_import_numpy():
             f"for argv in {runs!r}:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0, argv\n"
-            "print('numpy' in sys.modules)\n"
-            "from dhtlab import Exponent, integrate\n"
-            "print(Exponent(4.0).q, integrate.__module__, 'numpy' in sys.modules)\n")
-    assert _run_fresh(code).split() == ["False", "False", "1.3333333333333333",
-                                        "dhtlab.numerics", "True"]
+            "print('numpy' in sys.modules)\n")
+    assert _run_fresh(code).split() == ["False", "False"]
     # the module entry point itself: no numpy in the import log
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [SRC, os.environ.get("PYTHONPATH", "")]))

@@ -168,6 +168,14 @@ def test_search_rejects_bad_family():
             W.search_weak_constant(K.HILBERT, family, 5, window=-100)
 
 
+@pytest.mark.parametrize("kwargs", [dict(budget=2.5), dict(budget=5, window=64.5)],
+                         ids=["budget", "window"])
+def test_search_integer_arguments_fail_loudly(kwargs):
+    # budget=2.5 met range(), and window=64.5 reached the kernel read
+    with pytest.raises(ValueError, match="must be an integer"):
+        W.search_weak_constant(K.HILBERT, "random_signs", **kwargs)
+
+
 def test_search_bumps_rejects_window_without_a_bump():
     # the first bump (eps = 1/2) needs 1/eps = 2 <= window / 4
     with pytest.raises(ValueError, match="no bump fits window 7"):
