@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dhtlab.kernels import E, HILBERT, J, e_tail_constant
+from dhtlab.numerics import check_integer
 from dhtlab.seqops import Seq, convolve, fft_convolve
 
 __all__ = [
@@ -68,7 +69,7 @@ def build_K(window: int, mass_tol: float = 1e-8) -> FactorizationKit:
     """
     if not (1e-12 < mass_tol < 1e-2):
         raise ValueError("mass_tol must lie in (1e-12, 1e-2)")
-    if window < 16:
+    if check_integer("window", window) < 16:
         raise ValueError("window >= 16 required")
     e = E.read(-window, window)
     e0 = e.values[window]
@@ -115,8 +116,15 @@ def verify_factorization(a: Seq, window: int, mass_tol: float = 1e-8,
     Compares the classic transform of ``a`` against K convolved with (J a) on
     |n| <= window/4.  The budget charges the missing K mass against the sup of
     |J a| plus the kernels' per-entry error bars; the check passes iff the
-    residual stays below it.
+    residual stays below it.  A non-finite entry of ``a``, or a ``kit``
+    built for another window, raises ``ValueError``.
     """
+    check_integer("window", window)
+    if not np.all(np.isfinite(a.values)):
+        raise ValueError("sequence has non-finite entries (NaN or inf)")
+    if kit is not None and kit.window != window:
+        raise ValueError(f"kit was built for window {kit.window}, "
+                         f"not for window {window}")
     quarter = window // 4
     at = a.trimmed()
     if not at.is_zero():

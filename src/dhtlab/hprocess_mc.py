@@ -214,6 +214,9 @@ class OccupationGrid:
     def __post_init__(self):
         check_integer("nx", self.nx)
         check_integer("ny", self.ny)
+        bounds = (self.x_min, self.x_max, self.y_min, self.y_max)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"occupation grid bounds must be finite, got {bounds}")
         if not (self.y_min > 0 and self.y_max > self.y_min
                 and self.x_max > self.x_min and self.nx > 0 and self.ny > 0):
             raise ValueError("invalid occupation grid")
@@ -588,6 +591,8 @@ def estimate_T(a: Seq, cfg: SdeConfig, paths: int) -> PathStats:
     """
     if check_integer("paths", paths) < 1:
         raise ValueError("estimate_T needs paths >= 1")
+    if not np.all(np.isfinite(a.values)):
+        raise ValueError("sequence has non-finite entries (NaN or inf)")
     lo, hi = a.trimmed().support
     ms = np.arange(lo, hi + 1)
     comp, absorbed, _, _ = _simulate(cfg, paths, ms=ms)

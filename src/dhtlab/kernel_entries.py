@@ -40,7 +40,6 @@ import sys
 
 __all__ = [
     "N0", "PARITY", "CLOSED_FORMS", "LITERALS", "SERIES",
-    "hilbert", "rt", "kak", "adp", "j_series", "f_series", "e_series",
     "rounding_bar", "index", "index_range", "entry", "window_values",
 ]
 

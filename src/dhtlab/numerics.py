@@ -172,17 +172,13 @@ def gk_eval(f, lo: np.ndarray, hi: np.ndarray):
 
 
 def gk15_panels(lo, hi):
-    """Nodes and weights of the Gauss-Kronrod pair on the panels [lo_i, hi_i].
+    """Nodes and weights of the Kronrod rule on the panels [lo_i, hi_i].
 
-    Returns flat arrays (x, wk, wg) of length 15 * len(lo), panel after panel:
-    the K15 nodes, the K15 weights, and the G7 weights on the Gauss nodes with
-    zeros on the others.  Fixed-grid quadratures sum f(x) * wk and compare the
-    per-panel sums with those of wg for an error estimate.
+    Returns flat arrays (x, wk) of length 15 * len(lo), panel after panel:
+    the K15 nodes and weights.  A fixed-grid quadrature sums f(x) * wk.
     """
     x, half = gk_nodes(lo, hi)
-    g7 = np.zeros(15)
-    g7[1::2] = _WG7
-    return x.ravel(), (half[:, None] * _WK15).ravel(), (half[:, None] * g7).ravel()
+    return x.ravel(), (half[:, None] * _WK15).ravel()
 
 
 def integrate(f, a: float, b: float, rel_tol: float = 1e-10, *,
@@ -245,49 +241,23 @@ def integrate(f, a: float, b: float, rel_tol: float = 1e-10, *,
                 f"(error {err_total:.3e} > target {target:.3e})", best)
         s_lo, s_hi = lo[split], hi[split]
         mid = 0.5 * (s_lo + s_hi)
-        new_lo = np.concatenate([lo[~split], s_lo, mid])
-        new_hi = np.concatenate([hi[~split], mid, s_hi])
-        new_vals, new_errs = gk_eval(f, np.concatenate([s_lo, mid]),
-                                      np.concatenate([mid, s_hi]))
-        evals += 15 * 2 * len(s_lo)
+        new_lo = np.concatenate([s_lo, mid])
+        new_hi = np.concatenate([mid, s_hi])
+        new_vals, new_errs = gk_eval(f, new_lo, new_hi)
+        evals += 15 * len(new_lo)
+        lo = np.concatenate([lo[~split], new_lo])
+        hi = np.concatenate([hi[~split], new_hi])
         vals = np.concatenate([vals[~split], new_vals])
         errs = np.concatenate([errs[~split], new_errs])
-        order = np.argsort(new_lo, kind="stable")
-        lo, hi = new_lo[order], new_hi[order]
-        vals, errs = vals[order], errs[order]
 
     raise QuadratureError("refinement round limit reached",
                           QuadResult(math.fsum(vals), math.fsum(errs), evals))
 
 
 def catalan_beta2() -> float:
-    """beta(2) = sum_k (-1)^k / (2k+1)^2, Catalan's constant, as the nearest double.
-
-    Chebyshev-polynomial acceleration of the alternating series, carried
-    out in exact rational arithmetic: 30 terms leave an error below
-    2 / (3 + sqrt 8)^30 < 1e-22, far inside the 0.47 ulp between beta(2)
-    and the nearest rounding midpoint, so the one rounding, float() of the
-    exact sum, gives the double nearest beta(2).
-    """
-    # imported here: fractions (with decimal) adds ~2 ms to the import of
-    # every CLI child, and only the weak-type searches read this constant
-    from fractions import Fraction
-
-    n = 30
-    # d = ((3 + sqrt 8)^n + (3 - sqrt 8)^n) / 2, an integer: the sum
-    # P_k = (3 + sqrt 8)^k + (3 - sqrt 8)^k has P_k = 6 P_(k-1) - P_(k-2)
-    p_prev, p = 2, 6
-    for _ in range(n - 1):
-        p_prev, p = p, 6 * p - p_prev
-    d = p // 2
-    b = Fraction(-1)
-    c = Fraction(-d)
-    s = Fraction(0)
-    for k in range(n):
-        c = b - c
-        s += c / (2 * k + 1) ** 2
-        b *= Fraction(2 * (k + n) * (k - n), (2 * k + 1) * (k + 1))
-    return float(s / d)
+    """beta(2) = sum_k (-1)^k / (2k+1)^2, Catalan's constant, as the nearest
+    double (pinned against mpmath in the tests)."""
+    return 0.915965594177219
 
 
 def pichorides_constant(e: Exponent) -> float:

@@ -108,8 +108,6 @@ def lp_norm(a: Seq | np.ndarray, p) -> float:
         return 0.0
     if p == math.inf:
         return float(v.max())
-    if p == 1:
-        return float(v.sum())
     if p == 2:
         return float(np.sqrt(np.dot(v, v)))
     return float((v ** p).sum() ** (1.0 / p))
@@ -168,14 +166,6 @@ def _convolve_dense_direct(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _convolve_dense(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    if min(len(a), len(k)) == 0:
-        return np.zeros(max(len(a) + len(k) - 1, 0))
-    if len(a) > _FFT_THRESHOLD:
-        return fft_convolve(a, k)
-    return _convolve_dense_direct(a, k)
-
-
 def convolve(k: Kernel, a: Seq, out_radius: int) -> Seq:
     """(k * a)_n for n in [-out_radius, out_radius]; exact up to rounding.
 
@@ -192,7 +182,10 @@ def convolve(k: Kernel, a: Seq, out_radius: int) -> Seq:
         return Seq(-out_radius, np.zeros(2 * out_radius + 1))
     a_lo, a_hi = at.support
     kw = k.window_range(-out_radius - a_hi, out_radius - a_lo)
-    full = _convolve_dense(at.values, kw)
+    if len(at.values) > _FFT_THRESHOLD:
+        full = fft_convolve(at.values, kw)
+    else:
+        full = _convolve_dense_direct(at.values, kw)
     # full[t] corresponds to output index n = t + a_lo + (-out_radius - a_hi)
     start = a_lo - out_radius - a_hi
     i0 = -out_radius - start
@@ -258,10 +251,6 @@ class ConvOperator:
     def apply_adjoint_dense(self, v: np.ndarray) -> np.ndarray:
         """T_N' v, the transpose applied in the same layout."""
         return self._matvec(v, adjoint=True)
-
-    def apply(self, a: Seq) -> Seq:
-        v = a.to_dense(-self.window_radius, self.window_radius)
-        return Seq(-self.window_radius, self.apply_dense(v))
 
     def matrix(self) -> np.ndarray:
         """Dense (2N+1) x (2N+1) Toeplitz matrix M[i, j] = k(i - j)."""

@@ -132,19 +132,17 @@ def weak_ratio(k: Kernel, a: Seq, window: int,
     )
 
 
-def discretized_sequence(f, eps: float, z: float, window: int) -> Seq:
-    """Sample a_n = f(eps (z + n)) on |n| <= window, trimmed.
+def discretized_sequence(f, eps: float, window: int) -> Seq:
+    """Sample a_n = f(eps n) on |n| <= window, trimmed.
 
     Boundary convention: whatever f returns at its support endpoints is kept
     (an indicator of [0, 1] sampled at step 0.1 yields eleven ones).  A
     non-finite sample is rejected.
     """
-    if not (0.0 <= z < 1.0):
-        raise ValueError("z must lie in [0, 1)")
     if not eps > 0:
         raise ValueError("eps must be positive")
     ns = np.arange(-window, window + 1)
-    vals = np.array([float(f(eps * (z + n))) for n in ns])
+    vals = np.array([float(f(eps * n)) for n in ns])
     bad = ~np.isfinite(vals)
     if bad.any():
         raise ValueError(f"f returned a non-finite sample at n = {int(ns[bad][0])}")
@@ -255,8 +253,7 @@ def search_weak_constant(k: Kernel, family: str, budget: int, seed: int = 0,
         if 1.0 / eps > window / 4:
             break
         # smooth_bump vanishes from |eps n| = 1 on, i.e. from |n| = 2^(i+1)
-        a = discretized_sequence(smooth_bump, eps, 0.0,
-                                 min(window // 2, 2 ** (i + 1)))
+        a = discretized_sequence(smooth_bump, eps, min(window // 2, 2 ** (i + 1)))
         rep = weak_ratio(k, a, window, sequence_id=f"bump[eps=1/{2**(i+1)}]")
         if best is None or rep.ratio > best.ratio:
             best = rep

@@ -62,7 +62,7 @@ def test_criterion_03_residue_integrals():
     for k in range(1, 6):
         for n in (1, 2, -3):
             for y in (0.5, 1.0, 2.0):
-                diff = abs(I.quad_I(k, n, y, 1e-10).value - I.closed_I(k, n, y))
+                diff = abs(I.quad_I(k, n, y).value - I.closed_I(k, n, y))
                 worst = max(worst, diff)
                 ok &= diff <= 1e-8
     _report(3, f"45 residue-integral cases agree to 1e-8 (worst {worst:.2e})",

@@ -78,6 +78,21 @@ def test_verify_factorization_support_check():
         FZ.verify_factorization(Seq.delta(200), 256)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: FZ.verify_factorization(Seq.delta(0), 64, kit=FZ.build_K(128)),
+     "window 128, not for window 64"),
+    (lambda: FZ.verify_factorization(Seq.delta(0, math.nan), 64), "non-finite"),
+    (lambda: FZ.verify_factorization(Seq.delta(0, math.inf), 64), "non-finite"),
+    (lambda: FZ.build_K(16.5), "window must be an integer"),
+    (lambda: FZ.verify_factorization(Seq.delta(0), 64.5),
+     "window must be an integer"),
+], ids=["foreign_kit", "nan", "inf", "build_K_float", "verify_float"])
+def test_verify_factorization_rejects_bad_input(call, match):
+    # an input error, not a failed verification
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_window_doubling_keeps_budget():
     a = Seq.delta(0)
     r1 = FZ.verify_factorization(a, 512)

@@ -660,6 +660,17 @@ def test_estimate_T_needs_a_path():
         estimate_T(Seq.delta(0), cfg, 0)
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_estimate_T_rejects_non_finite_coefficients(monkeypatch, weight):
+    # rejected before any path is simulated (it used to return mean=nan)
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated a non-finite sequence")
+    monkeypatch.setattr(mc, "_simulate", no_simulation)
+    cfg = SdeConfig(n=1, start=(TWO_PI, 6.0), seed=11)
+    with pytest.raises(ValueError, match="non-finite"):
+        estimate_T(Seq.from_dict({0: 1.0, 2: weight}), cfg, 10)
+
+
 @pytest.mark.parametrize("paths", [2.5, "3", None])
 def test_paths_must_be_an_integer(paths):
     # these used to raise TypeError from inside the run
@@ -685,6 +696,12 @@ def test_occupation_grid_validation():
     for counts in (dict(nx=2.5, ny=2), dict(nx=2, ny=2.0), dict(nx="2", ny=2)):
         with pytest.raises(ValueError, match="integer"):
             OccupationGrid(x_min=0, x_max=1, y_min=0.5, y_max=2, **counts)
+    # an infinite bound used to pass here, then fail after simulating
+    # every path, blaming the density or the paths
+    for bounds in ((0, 12, 0.5, math.inf), (-math.inf, 12, 0.5, 2),
+                   (0, math.inf, 0.5, 2), (0, math.nan, 0.5, 2)):
+        with pytest.raises(ValueError, match="finite"):
+            OccupationGrid(*bounds, 2, 2)
 
 
 def _refine_dt(cfg):

@@ -96,7 +96,7 @@ def test_green_envelope_at_8pi():
 @pytest.mark.parametrize("n", [1, 2, -3])
 @pytest.mark.parametrize("y", [0.5, 1.0, 2.0])
 def test_residue_integrals(k, n, y):
-    q = I.quad_I(k, n, y, 1e-10)
+    q = I.quad_I(k, n, y)
     c = I.closed_I(k, n, y)
     assert abs(q.value - c) <= 1e-8 * max(abs(c), 1e-3)
 
@@ -118,8 +118,8 @@ def test_I_odd_in_n(k):
         for y in (0.7, 1.5):
             assert I.closed_I(k, -n, y) == pytest.approx(-I.closed_I(k, n, y),
                                                          rel=1e-13)
-            q_pos = I.quad_I(k, n, y, 1e-10).value
-            q_neg = I.quad_I(k, -n, y, 1e-10).value
+            q_pos = I.quad_I(k, n, y).value
+            q_neg = I.quad_I(k, -n, y).value
             assert q_neg == pytest.approx(-q_pos, rel=1e-9, abs=1e-14)
 
 

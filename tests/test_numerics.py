@@ -166,13 +166,17 @@ def test_stable_hyperbolics():
 
 
 def test_gk15_panels_integrate_polynomials_exactly():
-    from dhtlab.numerics import gk15_panels
-    x, wk, wg = gk15_panels([0.0, 0.5], [0.5, 2.0])
-    # K15 is exact to degree 22 and G7 to degree 13 on each panel
-    for deg, w in ((22, wk), (13, wg)):
-        assert float(np.sum(w * x ** deg)) == pytest.approx(2.0 ** (deg + 1) / (deg + 1),
-                                                             rel=1e-14)
-    assert np.all(wg.reshape(2, 15)[:, 0::2] == 0.0)
+    from dhtlab.numerics import gk15_panels, gk_nodes, gk_sums
+    x, wk = gk15_panels([0.0, 0.5], [0.5, 2.0])
+    # K15 is exact to degree 22 on each panel
+    assert float(np.sum(wk * x ** 22)) == pytest.approx(2.0 ** 23 / 23, rel=1e-14)
+    # G7 is exact to degree 13, not 14: |K15 - G7| vanishes up to rounding
+    # at degree 13 and not at 14
+    x, half = gk_nodes(np.array([0.0, 0.5]), np.array([0.5, 2.0]))
+    k15, err = gk_sums(x ** 13, half)
+    assert np.all(err <= 1e-15 * np.abs(k15))
+    k15, err = gk_sums(x ** 14, half)
+    assert np.all(err > 1e-10 * np.abs(k15))
 
 
 def test_gk_eval_is_gk_nodes_then_gk_sums():

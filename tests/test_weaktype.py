@@ -103,20 +103,18 @@ def test_lambda_scan_is_optimal(signs, window):
 
 def test_discretized_sequence_indicator():
     ind = lambda t: 1.0 if 0.0 <= t <= 1.0 else 0.0
-    s = W.discretized_sequence(ind, 0.1, 0.0, 100)
+    s = W.discretized_sequence(ind, 0.1, 100)
     assert s.offset == 0 and len(s.values) == 11
     assert np.all(s.values == 1.0)
     for eps in (0.1, 0.01):
-        d = W.discretized_sequence(ind, eps, 0.0, 10 ** 3)
+        d = W.discretized_sequence(ind, eps, 10 ** 3)
         mass = float(np.sum(np.abs(d.values))) * eps
         assert mass == pytest.approx(1.0, abs=1.5 * eps)
 
 
 def test_discretized_sequence_validation():
     with pytest.raises(ValueError):
-        W.discretized_sequence(lambda t: 1.0, 0.1, 1.5, 10)
-    with pytest.raises(ValueError):
-        W.discretized_sequence(lambda t: 1.0, -0.1, 0.0, 10)
+        W.discretized_sequence(lambda t: 1.0, -0.1, 10)
 
 
 def test_bump_ratio_converges_to_continuum():
@@ -125,7 +123,7 @@ def test_bump_ratio_converges_to_continuum():
     dists = []
     for i in range(5):
         eps = 0.5 / 2 ** i
-        a = W.discretized_sequence(W.smooth_bump, eps, 0.0, 2 ** 14)
+        a = W.discretized_sequence(W.smooth_bump, eps, 2 ** 14)
         rep = W.weak_ratio(K.HILBERT, a, 2 ** 14)
         dists.append(abs(rep.ratio - TWO_OVER_PI))
     assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -193,9 +191,9 @@ def test_weak_ratio_rejects_non_finite(bad):
 def test_discretized_sequence_rejects_nan_samples():
     f = lambda t: math.nan if t == 0.5 else 1.0
     with pytest.raises(ValueError, match="non-finite sample at n = 5"):
-        W.discretized_sequence(f, 0.1, 0.0, 10)
+        W.discretized_sequence(f, 0.1, 10)
     with pytest.raises(ValueError, match="non-finite"):
-        W.discretized_sequence(lambda t: math.inf, 0.1, 0.0, 10)
+        W.discretized_sequence(lambda t: math.inf, 0.1, 10)
 
 
 # Reports of the searches as computed before the kernel was read once per
@@ -308,8 +306,7 @@ def _nan_kernel(bad):
 
 # a unit atom convolves directly, a bump of 1023 samples through the FFT
 @pytest.mark.parametrize("a", [Seq.delta(0),
-                               W.discretized_sequence(W.smooth_bump, 1 / 512,
-                                                      0.0, 512)],
+                               W.discretized_sequence(W.smooth_bump, 1 / 512, 512)],
                          ids=["direct", "fft"])
 def test_weak_ratio_rejects_nan_kernel_entry(a):
     with pytest.raises(ValueError, match="non-finite entry"):
